@@ -555,16 +555,6 @@ let create ?(config = Config.default) ~model ~backend () =
         ?obs:config.Config.observability.Config.obs
         ?options:config.Config.compile.Config.options model)
 
-let create_legacy ?policy ?options ?lock_free ?dispatch ?devices ?cache_capacity
-    ?queue_cap ?degrade_watermark ?faults ?seed ?retry ?params ?obs ?autotune
-    ?tune_budget ~model ~backend () =
-  create
-    ~config:
-      (Config.make ?policy ?options ?lock_free ?dispatch ?devices ?cache_capacity
-         ?queue_cap ?degrade_watermark ?faults ?seed ?retry ?params ?obs ?autotune
-         ?tune_budget ())
-    ~model ~backend ()
-
 let of_spec ?(config = Config.default) (spec : M.t) ~backend =
   (* The config's options act as the base the model's schedule metadata
      merges into — the old [?base] argument's contract. *)
@@ -1413,6 +1403,18 @@ let aggregate_of requests ~num_windows =
       makespan_us;
     }
 
+(* ---------- the drain: admit -> form -> play -> account ----------
+
+   [drain] runs four stages over one [drain_state]:
+   - admit: take the queue in arrival order, reset the shed and reject
+     counters, decide whether to degrade;
+   - form: cut plain requests into batching windows and group session
+     tokens into items, in ready order;
+   - play: an item becomes one or more windows, and every window — a
+     batch of plain requests, one session token, or a pack of session
+     tokens — goes through [play_window];
+   - account: the summary, the metrics and the enclosing drain span. *)
+
 (* The outcome of playing one window through the fault model. *)
 type attempt_outcome =
   | Completed of {
@@ -1425,15 +1427,107 @@ type attempt_outcome =
     }
   | Lost_window of float  (* the sim instant the window was declared lost *)
 
-(* One playable drain item: a batched window of stranger requests, a
-   single session token, or a packed window merging several sessions'
-   ready tokens into one forest launch. *)
-type drain_item =
-  | I_regular of pending list
-  | I_session of pending
-  | I_pack of pending list
+(* What one drain carries from admission to the summary.  Observability
+   is read-only: every span and metric copies a value the simulation
+   already computed, and the [None] path allocates nothing (the guards
+   keep even the args lists unbuilt). *)
+type drain_state = {
+  d_obs : Obs.t option;
+  d_chaos : bool;  (* a fault spec is installed, even an empty one *)
+  d_disp : Dispatch.t;
+      (* device clocks are fresh per drain (the simulation's origin is
+         the trace's arrival clock); the shape cache persists *)
+  d_inj : Fault.t option;
+  d_degraded : bool;
+  d_depth : int;  (* requests admitted *)
+  d_shed : int;
+  d_rejected : int;
+  mutable d_transients : int;
+  mutable d_retries : int;
+  mutable d_failovers : int;
+  mutable d_lost : int;
+  mutable d_first_damage : float;
+  mutable d_damage_metrics : Metrics.snapshot option;
+      (* First SLO-visible damage on the simulated clock — the earliest
+         shed arrival, lost window, or missed deadline — and the metrics
+         registry as it stood when damage was first observed in
+         processing order.  These are the FMECA campaign's
+         detectability inputs: how long before anything was hurt, and
+         which counters had already moved by then. *)
+  mutable d_windex : int;  (* index of the next completed window *)
+  mutable d_windows : window_report list;  (* newest first *)
+  mutable d_requests : request_report list;  (* newest first *)
+  mutable d_results : (int * Tensor.t) list;
+  mutable d_packed_windows : int;
+  mutable d_packed_tokens : int;
+}
 
-let drain t =
+(* One session token after its inspector work ([serve_token]). *)
+type token = {
+  tk_p : pending;
+  tk_sx : session;
+  tk_serve : session_serve;
+  tk_charge : float;  (* the inspector charge ([inspect]) *)
+  tk_restore_us : float;  (* priced spill restore; 0 for a live session *)
+}
+
+type member = Plain of pending | Token of token
+
+(* One playable window.  Plain windows, single session tokens and
+   session packs are all this record: what differs per kind is the data
+   [plain_window], [token_window] and [pack_window] fill in, never the
+   code that plays it. *)
+type window = {
+  w_members : member list;
+  w_lin : Linearizer.t;  (* the launch sequence priced and executed *)
+  w_nodes : int;  (* the window's work *)
+  w_lin_us : float;  (* inspector charge for the whole window *)
+  w_id : int -> int -> int;
+      (* member index -> member-local node id -> window id.  A token
+         served as a delta is numbered by session id, anything else by
+         request-local node id. *)
+  w_tune : bool option;
+      (* under autotune, [Some packed] runs the plan cached in that key
+         space; [None] skips plan tuning *)
+  w_hit : bool;  (* reported shape-cache hit *)
+  w_session : string option;  (* reported session of a size-1 window *)
+  w_packed : string list;  (* reported members of a pack, in pack order *)
+}
+
+let note_damage d at =
+  (match d.d_damage_metrics with
+   | None -> d.d_damage_metrics <- Obs.snapshot d.d_obs
+   | Some _ -> ());
+  if at < d.d_first_damage then d.d_first_damage <- at
+
+(* Run inspector work under the host timer and return it with its
+   charge on the simulated clock.  Chaos mode: with a fault spec
+   installed (even an empty one), the charge is zero instead of the
+   measured host wall clock, so every fault decision — and therefore
+   the whole summary — is a pure function of (seed, spec, trace).  The
+   measured wall clock would leak nondeterminism into dispatch times and
+   flip marginal fault draws between identical runs. *)
+let inspect d f =
+  let r, wall = Stats.time_us f in
+  (r, if d.d_chaos then 0.0 else wall)
+
+let device_track i = Printf.sprintf "device %d" i
+
+let fail_at d i =
+  match d.d_inj with Some inj -> Fault.fail_at inj i | None -> infinity
+
+(* Mark fail-stopped devices whose time has come, so dispatch avoids
+   them; an in-flight abort is detected separately in [play]. *)
+let mark_dead d now =
+  Array.iter
+    (fun (dev : Dispatch.device) ->
+      if (not dev.Dispatch.dev_failed) && fail_at d dev.Dispatch.dev_index <= now then
+        Dispatch.fail dev)
+    (Dispatch.devices d.d_disp)
+
+(* ---- admit ---- *)
+
+let admit t =
   let pendings =
     List.stable_sort
       (fun a b -> compare (a.p_arrival, a.p_id) (b.p_arrival, b.p_id))
@@ -1462,171 +1556,7 @@ let drain t =
       }
     else t.eng_policy
   in
-  (* Session submissions bypass batching: a token of a pinned
-     conversation cannot share a forest with strangers — its layout and
-     device are pinned — so each is its own size-1 window, ready at
-     arrival. *)
-  let sessionp, regular = List.partition (fun p -> p.p_session <> None) pendings in
-  let windows =
-    match policy.bucketing with
-    | Fifo -> form_windows policy regular
-    | By_size -> form_windows_bucketed policy regular
-  in
-  let pack_w = t.eng_config.Config.sessions.Session_store.pack_window in
-  let pack_wait = t.eng_config.Config.sessions.Session_store.pack_wait_us in
-  let session_items =
-    if pack_w <= 1 then List.map (fun p -> (p.p_arrival, I_session p)) sessionp
-    else begin
-      (* Multi-session packing: group ready session tokens by pinned
-         device into packed windows of up to [pack_window] members,
-         admitting a token only within [pack_wait_us] of the pack's
-         first arrival.  Only tokens predicted to serve as deltas pack
-         (the authoritative delta check at play time falls any
-         mispredicted member back to its own size-1 window); the
-         prediction replays each session's structure evolution across
-         the drain, so a conversation's second token can pack even when
-         its first token of the same drain is what pins the session.
-         Sessions not yet pinned group under a sentinel device (-1):
-         playing their pack selects one device and pins every member to
-         it, exactly as a size-1 window would pin its one session.  Two
-         rules keep a session's own tokens in submission order: a token
-         may only join a pack opened after the session's previous item,
-         and an item's ready time is bumped to at least the ready time
-         of every member session's previous item below. *)
-      let last_item = Hashtbl.create 16 in
-      let seq = ref 0 in
-      let items = ref [] in  (* newest first *)
-      let open_packs = ref [] in  (* oldest first *)
-      (* name -> (pinned device, structure as of the session's last
-         token below) — the grouping-time mirror of what
-         [session_delta_view] will see when the token plays. *)
-      let pred = Hashtbl.create 16 in
-      let pred_of name =
-        match Hashtbl.find_opt pred name with
-        | Some st -> st
-        | None ->
-          let st =
-            match Hashtbl.find_opt t.eng_sessions name with
-            | None -> (None, `Fresh)
-            | Some sx ->
-              ( sx.sx_device,
-                (match sx.sx_structure with
-                 | Some s -> `Struct s
-                 | None -> (
-                   match sx.sx_restored_base with
-                   | Some b -> `Restored b
-                   | None -> `Fresh)) )
-          in
-          Hashtbl.replace pred name st;
-          st
-      in
-      let predicted p =
-        let name = Option.get p.p_session in
-        let dev, base = pred_of name in
-        let s = p.p_structure in
-        let n = Structure.num_nodes s in
-        let nodes = s.Structure.nodes in
-        let ok =
-          Lower.delta_compatible t.eng_compiled.Lower.options
-          && (match base with
-              | `Struct prev ->
-                let b = Structure.num_nodes prev in
-                n > b && b > 0
-                && s.Structure.kind = prev.Structure.kind
-                && nodes.(0) == prev.Structure.nodes.(0)
-                && nodes.(b - 1) == prev.Structure.nodes.(b - 1)
-              | `Restored b -> n > b && b > 0
-              | `Fresh -> false)
-        in
-        Hashtbl.replace pred name (dev, `Struct s);
-        if ok then Some (match dev with Some d -> d | None -> -1) else None
-      in
-      List.iter
-        (fun p ->
-          let name = Option.get p.p_session in
-          let after_last oseq =
-            match Hashtbl.find_opt last_item name with
-            | Some ls -> oseq > ls
-            | None -> true
-          in
-          match predicted p with
-          | None ->
-            incr seq;
-            Hashtbl.replace last_item name !seq;
-            items := (!seq, `Single p) :: !items
-          | Some d -> (
-            let joinable (oseq, odev, ofirst, _, ocount) =
-              odev = d && !ocount < pack_w
-              && p.p_arrival <= ofirst +. pack_wait
-              && after_last oseq
-            in
-            match List.find_opt joinable !open_packs with
-            | Some (oseq, _, _, oms, ocount) ->
-              oms := p :: !oms;
-              incr ocount;
-              Hashtbl.replace last_item name oseq
-            | None ->
-              incr seq;
-              let op = (!seq, d, p.p_arrival, ref [ p ], ref 1) in
-              open_packs := !open_packs @ [ op ];
-              Hashtbl.replace last_item name !seq;
-              items := (!seq, `Pack op) :: !items))
-        sessionp;
-      (* Materialize in creation order; a pack is ready when its last
-         member arrives, and every item waits for its member sessions'
-         previous items so no session's tokens can reorder. *)
-      let prev_ready = Hashtbl.create 16 in
-      let ready_of base names =
-        let r =
-          List.fold_left
-            (fun r nm ->
-              match Hashtbl.find_opt prev_ready nm with
-              | Some pr -> Float.max r pr
-              | None -> r)
-            base names
-        in
-        List.iter (fun nm -> Hashtbl.replace prev_ready nm r) names;
-        r
-      in
-      List.rev_map
-        (fun (_, item) ->
-          match item with
-          | `Single p ->
-            (ready_of p.p_arrival [ Option.get p.p_session ], I_session p)
-          | `Pack (_, _, _, oms, ocount) ->
-            let members = List.rev !oms in
-            if !ocount = 1 then
-              let p = List.hd members in
-              (ready_of p.p_arrival [ Option.get p.p_session ], I_session p)
-            else
-              let base =
-                List.fold_left
-                  (fun m p -> Float.max m p.p_arrival)
-                  Float.neg_infinity members
-              in
-              let names = List.map (fun p -> Option.get p.p_session) members in
-              (ready_of base names, I_pack members))
-        (List.rev !items)
-      |> List.rev
-    end
-  in
-  let windows =
-    List.map (fun (r, ms) -> (r, I_regular ms)) windows @ session_items
-  in
-  (* Play the windows through the simulated devices in ready order: the
-     dispatch policy picks a device per window, the window occupies it
-     from max(device free, window ready) until completion, priced on
-     that device's own backend model.  Device clocks are fresh per
-     drain (the simulation's origin is the trace's arrival clock); the
-     shape cache persists across drains. *)
-  let windows =
-    List.stable_sort (fun (ra, _) (rb, _) -> compare ra rb) windows
-  in
-  (* Observability is read-only: every span and metric below copies a
-     value the simulation already computed.  The [None] path allocates
-     nothing (the guards keep even the args lists unbuilt). *)
   let obs = t.eng_obs in
-  let device_track d = Printf.sprintf "device %d" d in
   (match obs with
    | None -> ()
    | Some _ ->
@@ -1636,736 +1566,769 @@ let drain t =
            ~args:[ ("id", CT.Int p.p_id); ("nodes", CT.Int p.p_nodes) ]
            ~ts_us:p.p_arrival ())
        pendings);
-  let disp = Dispatch.create ~policy:t.eng_dispatch t.eng_devices in
-  (* Chaos mode: with a fault spec installed (even an empty one), the
-     simulated clock charges a zero linearization cost instead of the
-     measured host wall clock, so every fault decision — and therefore
-     the whole summary — is a pure function of (seed, spec, trace).
-     The measured wall clock would leak nondeterminism into dispatch
-     times and flip marginal fault draws between identical runs. *)
-  let chaos = t.eng_faults <> None in
-  let inj =
-    Option.map
-      (fun spec ->
-        Fault.create ~seed:t.eng_seed ~devices:(List.length t.eng_devices) spec)
-      t.eng_faults
+  let d =
+    {
+      d_obs = obs;
+      d_chaos = t.eng_faults <> None;
+      d_disp = Dispatch.create ~policy:t.eng_dispatch t.eng_devices;
+      d_inj =
+        Option.map
+          (fun spec ->
+            Fault.create ~seed:t.eng_seed ~devices:(List.length t.eng_devices) spec)
+          t.eng_faults;
+      d_degraded = degraded;
+      d_depth = depth;
+      d_shed = shed;
+      d_rejected = rejected;
+      d_transients = 0;
+      d_retries = 0;
+      d_failovers = 0;
+      d_lost = 0;
+      d_first_damage = infinity;
+      d_damage_metrics = None;
+      d_windex = 0;
+      d_windows = [];
+      d_requests = [];
+      d_results = [];
+      d_packed_windows = 0;
+      d_packed_tokens = 0;
+    }
   in
-  let fail_at d =
-    match inj with Some i -> Fault.fail_at i d | None -> infinity
-  in
-  let transients = ref 0 and retries = ref 0 and failovers = ref 0 in
-  let lost = ref 0 in
-  (* First SLO-visible damage on the simulated clock — the earliest
-     shed arrival, lost window, or missed deadline — and the metrics
-     registry as it stood when damage was first observed in processing
-     order.  These are the FMECA campaign's detectability inputs: how
-     long before anything was hurt, and which counters had already
-     moved by then. *)
-  let first_damage = ref infinity in
-  let damage_metrics = ref None in
-  let note_damage at =
-    (match !damage_metrics with
-     | None -> damage_metrics := Obs.snapshot obs
-     | Some _ -> ());
-    if at < !first_damage then first_damage := at
-  in
-  if shed > 0 then note_damage shed_at;
-  let wreports = ref [] in
-  let rreports = ref [] in
-  let results = ref [] in
-  let windex = ref 0 in
-  (* Mark fail-stopped devices whose time has come, so dispatch avoids
-     them; an in-flight abort is detected separately below. *)
-  let mark_dead now =
-    Array.iter
-      (fun (d : Dispatch.device) ->
-        if (not d.Dispatch.dev_failed) && fail_at d.Dispatch.dev_index <= now then
-          Dispatch.fail d)
-      (Dispatch.devices disp)
-  in
-  (* The retry/failover loop, shared by regular and session windows.
-     [n] counts transient re-executions (the retry budget); failover
-     re-dispatches after a fail-stop are free — the work was lost to
-     the fleet, not to a flaky kernel.  A window's linearization is
-     never redone on a retry: the forest (or delta view) is already
-     built, and a failover on a cached shape re-uses the same numbering
-     (that is the shape cache's contract).  [price dev] returns what
-     actually runs on [dev] (the plan-tuned artifact for regular
-     windows) and its backend report.  [sxs] pins a session window (or
-     a packed window's members) to its device; when the pinned device
-     died, every member session re-pins and re-binds its materialized
-     layout through the shape cache onto the survivor — a payload
-     re-bind, never a fresh linearization. *)
-  let play ~sxs ~size ~nodes ~lin_us ~price ready0 =
-    let rec attempt n ready =
-      mark_dead ready;
-      if Dispatch.alive disp = 0 then Lost_window ready
-      else begin
-        let dev =
-          match sxs with
-          | [] -> Dispatch.select disp ~nodes
-          | _ ->
-            let devs = Dispatch.devices disp in
-            (* The window's pinned device: the first member's, if it
-               survives (a packed window's members share a pin by
-               construction; they can only diverge when an earlier
-               failover this drain re-pinned some of them). *)
-            let dev =
-              match
-                List.find_map
-                  (fun sx ->
-                    match sx.sx_device with
-                    | Some di when not devs.(di).Dispatch.dev_failed ->
-                      Some devs.(di)
-                    | _ -> None)
-                  sxs
-              with
-              | Some d -> d
-              | None -> Dispatch.select disp ~nodes
-            in
-            List.iter
-              (fun sx ->
-                match sx.sx_device with
-                | Some di when di = dev.Dispatch.dev_index -> ()
-                | prev ->
-                  (match (prev, sx.sx_forest) with
-                   | Some _, Some f ->
-                     sx.sx_rebinds <- sx.sx_rebinds + 1;
-                     let ss =
-                       Array.to_list
-                         (Array.map
-                            (fun sp -> sp.Linearizer.span_structure)
-                            f.Linearizer.spans)
-                     in
-                     ignore
-                       (Shape_cache.find_or_linearize ?obs t.eng_cache
-                          ~max_children:t.model.Ra.max_children ss)
-                   | _ -> ());
-                  sx.sx_device <- Some dev.Dispatch.dev_index)
-              sxs;
-            dev
+  if shed > 0 then note_damage d shed_at;
+  (d, policy, pendings)
+
+(* ---- form ---- *)
+
+(* Group session submissions into items of one or more tokens.  A token
+   of a pinned conversation cannot share a forest with strangers — its
+   layout and device are pinned — so without packing each is its own
+   item, ready at arrival.
+
+   With multi-session packing, ready session tokens group by pinned
+   device into packs of up to [pack_window] members, admitting a token
+   only within [pack_wait_us] of the pack's first arrival.  Only tokens
+   predicted to serve as deltas pack (the authoritative delta check at
+   play time falls any mispredicted member back to its own size-1
+   window); the prediction replays each session's structure evolution
+   across the drain, so a conversation's second token can pack even when
+   its first token of the same drain is what pins the session.  Sessions
+   not yet pinned group under a sentinel device (-1): playing their pack
+   selects one device and pins every member to it, exactly as a size-1
+   window would pin its one session.  Two rules keep a session's own
+   tokens in submission order: a token may only join a pack opened after
+   the session's previous item, and an item's ready time is bumped to at
+   least the ready time of every member session's previous item. *)
+let form_session_items t sessionp =
+  let pack_w = t.eng_config.Config.sessions.Session_store.pack_window in
+  let pack_wait = t.eng_config.Config.sessions.Session_store.pack_wait_us in
+  if pack_w <= 1 then List.map (fun p -> (p.p_arrival, [ p ])) sessionp
+  else begin
+    let last_item = Hashtbl.create 16 in
+    let seq = ref 0 in
+    let items = ref [] in  (* newest first *)
+    let open_packs = ref [] in  (* oldest first *)
+    (* name -> (pinned device, structure as of the session's last token
+       below) — the grouping-time mirror of what [session_delta_view]
+       will see when the token plays. *)
+    let pred = Hashtbl.create 16 in
+    let pred_of name =
+      match Hashtbl.find_opt pred name with
+      | Some st -> st
+      | None ->
+        let st =
+          match Hashtbl.find_opt t.eng_sessions name with
+          | None -> (None, `Fresh)
+          | Some sx ->
+            ( sx.sx_device,
+              (match sx.sx_structure with
+               | Some s -> `Struct s
+               | None -> (
+                 match sx.sx_restored_base with
+                 | Some b -> `Restored b
+                 | None -> `Fresh)) )
         in
-        let dispatch = Float.max dev.Dispatch.dev_free_us ready in
-        let ft = fail_at dev.Dispatch.dev_index in
-        if ft <= dispatch then begin
-          (* The device dies while the window waits in its queue slot:
-             nothing was in flight, just pick another device. *)
+        Hashtbl.replace pred name st;
+        st
+    in
+    let predicted p =
+      let name = Option.get p.p_session in
+      let dev, base = pred_of name in
+      let s = p.p_structure in
+      let n = Structure.num_nodes s in
+      let nodes = s.Structure.nodes in
+      let ok =
+        Lower.delta_compatible t.eng_compiled.Lower.options
+        && (match base with
+            | `Struct prev ->
+              let b = Structure.num_nodes prev in
+              n > b && b > 0
+              && s.Structure.kind = prev.Structure.kind
+              && nodes.(0) == prev.Structure.nodes.(0)
+              && nodes.(b - 1) == prev.Structure.nodes.(b - 1)
+            | `Restored b -> n > b && b > 0
+            | `Fresh -> false)
+      in
+      Hashtbl.replace pred name (dev, `Struct s);
+      if ok then Some (match dev with Some d -> d | None -> -1) else None
+    in
+    List.iter
+      (fun p ->
+        let name = Option.get p.p_session in
+        let after_last oseq =
+          match Hashtbl.find_opt last_item name with
+          | Some ls -> oseq > ls
+          | None -> true
+        in
+        match predicted p with
+        | None ->
+          incr seq;
+          Hashtbl.replace last_item name !seq;
+          items := (!seq, `Single p) :: !items
+        | Some d -> (
+          let joinable (oseq, odev, ofirst, _, ocount) =
+            odev = d && !ocount < pack_w
+            && p.p_arrival <= ofirst +. pack_wait
+            && after_last oseq
+          in
+          match List.find_opt joinable !open_packs with
+          | Some (oseq, _, _, oms, ocount) ->
+            oms := p :: !oms;
+            incr ocount;
+            Hashtbl.replace last_item name oseq
+          | None ->
+            incr seq;
+            let op = (!seq, d, p.p_arrival, ref [ p ], ref 1) in
+            open_packs := !open_packs @ [ op ];
+            Hashtbl.replace last_item name !seq;
+            items := (!seq, `Pack op) :: !items))
+      sessionp;
+    (* Materialize in creation order; a pack is ready when its last
+       member arrives, and every item waits for its member sessions'
+       previous items so no session's tokens can reorder. *)
+    let prev_ready = Hashtbl.create 16 in
+    let ready_of base names =
+      let r =
+        List.fold_left
+          (fun r nm ->
+            match Hashtbl.find_opt prev_ready nm with
+            | Some pr -> Float.max r pr
+            | None -> r)
+          base names
+      in
+      List.iter (fun nm -> Hashtbl.replace prev_ready nm r) names;
+      r
+    in
+    List.rev_map
+      (fun (_, item) ->
+        match item with
+        | `Single p -> (ready_of p.p_arrival [ Option.get p.p_session ], [ p ])
+        | `Pack (_, _, _, oms, _) ->
+          let members = List.rev !oms in
+          let base =
+            List.fold_left
+              (fun m p -> Float.max m p.p_arrival)
+              Float.neg_infinity members
+          in
+          let names = List.map (fun p -> Option.get p.p_session) members in
+          (ready_of base names, members))
+      (List.rev !items)
+    |> List.rev
+  end
+
+(* Every item of the drain in ready order: plain windows, whose members
+   have no session, then session items, whose members all have one.
+   The stable sort keeps that order among equal ready times. *)
+let form t policy pendings =
+  let sessionp, plain = List.partition (fun p -> p.p_session <> None) pendings in
+  let windows =
+    match policy.bucketing with
+    | Fifo -> form_windows policy plain
+    | By_size -> form_windows_bucketed policy plain
+  in
+  List.stable_sort
+    (fun (ra, _) (rb, _) -> compare ra rb)
+    (windows @ form_session_items t sessionp)
+
+(* ---- play ---- *)
+
+(* The retry/failover loop every window goes through.  [n] counts
+   transient re-executions (the retry budget); failover re-dispatches
+   after a fail-stop are free — the work was lost to the fleet, not to a
+   flaky kernel.  A window's linearization is never redone on a retry:
+   the forest (or delta view) is already built, and a failover on a
+   cached shape re-uses the same numbering (that is the shape cache's
+   contract).  [price dev] returns what actually runs on [dev] (the
+   plan-tuned artifact, when the window tunes) and its backend report.
+   [sxs] pins a session window (or a pack's members) to its device; when
+   the pinned device died, every member session re-pins and re-binds its
+   materialized layout through the shape cache onto the survivor — a
+   payload re-bind, never a fresh linearization. *)
+let play t d ~sxs ~size ~nodes ~lin_us ~price ready0 =
+  let obs = d.d_obs in
+  let disp = d.d_disp in
+  let rec attempt n ready =
+    mark_dead d ready;
+    if Dispatch.alive disp = 0 then Lost_window ready
+    else begin
+      let dev =
+        match sxs with
+        | [] -> Dispatch.select disp ~nodes
+        | _ ->
+          let devs = Dispatch.devices disp in
+          (* The window's pinned device: the first member's, if it
+             survives (a pack's members share a pin by construction;
+             they can only diverge when an earlier failover this drain
+             re-pinned some of them). *)
+          let dev =
+            match
+              List.find_map
+                (fun sx ->
+                  match sx.sx_device with
+                  | Some di when not devs.(di).Dispatch.dev_failed -> Some devs.(di)
+                  | _ -> None)
+                sxs
+            with
+            | Some dv -> dv
+            | None -> Dispatch.select disp ~nodes
+          in
+          List.iter
+            (fun sx ->
+              match sx.sx_device with
+              | Some di when di = dev.Dispatch.dev_index -> ()
+              | prev ->
+                (match (prev, sx.sx_forest) with
+                 | Some _, Some f ->
+                   sx.sx_rebinds <- sx.sx_rebinds + 1;
+                   let ss =
+                     Array.to_list
+                       (Array.map
+                          (fun sp -> sp.Linearizer.span_structure)
+                          f.Linearizer.spans)
+                   in
+                   ignore
+                     (Shape_cache.find_or_linearize ?obs t.eng_cache
+                        ~max_children:t.model.Ra.max_children ss)
+                 | _ -> ());
+                sx.sx_device <- Some dev.Dispatch.dev_index)
+            sxs;
+          dev
+      in
+      let dispatch = Float.max dev.Dispatch.dev_free_us ready in
+      let ft = fail_at d dev.Dispatch.dev_index in
+      if ft <= dispatch then begin
+        (* The device dies while the window waits in its queue slot:
+           nothing was in flight, just pick another device. *)
+        Dispatch.fail dev;
+        attempt n ready
+      end
+      else begin
+        let compiled, report = price dev in
+        let factor =
+          match d.d_inj with
+          | Some i -> Fault.latency_factor i ~device:dev.Dispatch.dev_index ~at_us:dispatch
+          | None -> 1.0
+        in
+        let report = if factor = 1.0 then report else Runtime.scale_report report factor in
+        let device_us = report.Runtime.latency.Backend.total_us in
+        (* The host-side linearization is charged once, on the first
+           execution; a retry re-launches kernels, not the inspector. *)
+        let lin_charge = if n = 0 then lin_us else 0.0 in
+        let completion = dispatch +. lin_charge +. device_us in
+        if ft < completion then begin
+          (* In-flight fail-stop: the window aborts at the instant the
+             device dies and fails over to a survivor. *)
+          Dispatch.commit dev ~dispatch_us:dispatch ~completion_us:ft ~requests:0
+            ~nodes:0 ~occupancy:report.Runtime.occupancy;
           Dispatch.fail dev;
-          attempt n ready
+          d.d_failovers <- d.d_failovers + 1;
+          Obs.incr obs "faults.failovers";
+          (match obs with
+           | None -> ()
+           | Some _ ->
+             Obs.sim_span obs ~track:(device_track dev.Dispatch.dev_index) ~name:"abort"
+               ~args:[ ("fault", CT.Str "failstop"); ("size", CT.Int size);
+                       ("nodes", CT.Int nodes) ]
+               ~start_us:dispatch ~end_us:ft ());
+          attempt n ft
         end
         else begin
-          let compiled, report = price dev in
-          let factor =
-            match inj with
+          let aborted =
+            match d.d_inj with
             | Some i ->
-              Fault.latency_factor i ~device:dev.Dispatch.dev_index ~at_us:dispatch
-            | None -> 1.0
+              Fault.draw_transient i ~device:dev.Dispatch.dev_index ~at_us:dispatch
+            | None -> false
           in
-          let report =
-            if factor = 1.0 then report else Runtime.scale_report report factor
-          in
-          let device_us = report.Runtime.latency.Backend.total_us in
-          (* The host-side linearization is charged once, on the first
-             execution; a retry re-launches kernels, not the
-             inspector. *)
-          let lin_charge = if n = 0 then lin_us else 0.0 in
-          let completion = dispatch +. lin_charge +. device_us in
-          if ft < completion then begin
-            (* In-flight fail-stop: the window aborts at the instant
-               the device dies and fails over to a survivor. *)
-            Dispatch.commit dev ~dispatch_us:dispatch ~completion_us:ft
-              ~requests:0 ~nodes:0 ~occupancy:report.Runtime.occupancy;
-            Dispatch.fail dev;
-            incr failovers;
-            Obs.incr obs "faults.failovers";
+          if aborted then begin
+            (* The kernel ran and the fault was detected at completion:
+               the wasted execution still occupied the device. *)
+            d.d_transients <- d.d_transients + 1;
+            Obs.incr obs "faults.transients";
+            Dispatch.commit dev ~dispatch_us:dispatch ~completion_us:completion
+              ~requests:0 ~nodes ~occupancy:report.Runtime.occupancy;
             (match obs with
              | None -> ()
              | Some _ ->
                Obs.sim_span obs ~track:(device_track dev.Dispatch.dev_index)
-                 ~name:"abort"
-                 ~args:[ ("fault", CT.Str "failstop"); ("size", CT.Int size);
+                 ~name:"transient"
+                 ~args:[ ("attempt", CT.Int (n + 1)); ("size", CT.Int size);
                          ("nodes", CT.Int nodes) ]
-                 ~start_us:dispatch ~end_us:ft ());
-            attempt n ft
+                 ~start_us:dispatch ~end_us:completion ());
+            if n >= t.eng_retry.Fault.max_retries then Lost_window completion
+            else begin
+              d.d_retries <- d.d_retries + 1;
+              Obs.incr obs "faults.retries";
+              let delay =
+                Fault.backoff_us (Option.get d.d_inj) ~retry:t.eng_retry
+                  ~device:dev.Dispatch.dev_index ~attempt:n
+              in
+              attempt (n + 1) (completion +. delay)
+            end
           end
           else begin
-            let aborted =
-              match inj with
-              | Some i ->
-                Fault.draw_transient i ~device:dev.Dispatch.dev_index
-                  ~at_us:dispatch
-              | None -> false
-            in
-            if aborted then begin
-              (* The kernel ran and the fault was detected at
-                 completion: the wasted execution still occupied the
-                 device. *)
-              incr transients;
-              Obs.incr obs "faults.transients";
-              Dispatch.commit dev ~dispatch_us:dispatch ~completion_us:completion
-                ~requests:0 ~nodes ~occupancy:report.Runtime.occupancy;
-              (match obs with
-               | None -> ()
-               | Some _ ->
-                 Obs.sim_span obs ~track:(device_track dev.Dispatch.dev_index)
-                   ~name:"transient"
-                   ~args:[ ("attempt", CT.Int (n + 1)); ("size", CT.Int size);
-                           ("nodes", CT.Int nodes) ]
-                   ~start_us:dispatch ~end_us:completion ());
-              if n >= t.eng_retry.Fault.max_retries then Lost_window completion
-              else begin
-                incr retries;
-                Obs.incr obs "faults.retries";
-                let delay =
-                  Fault.backoff_us (Option.get inj) ~retry:t.eng_retry
-                    ~device:dev.Dispatch.dev_index ~attempt:n
-                in
-                attempt (n + 1) (completion +. delay)
-              end
-            end
-            else begin
-              Dispatch.commit dev ~dispatch_us:dispatch ~completion_us:completion
-                ~requests:size ~nodes ~occupancy:report.Runtime.occupancy;
-              Completed
-                {
-                  ao_dev = dev;
-                  ao_dispatch = dispatch;
-                  ao_completion = completion;
-                  ao_report = report;
-                  ao_attempts = n + 1;
-                  ao_compiled = compiled;
-                }
-            end
+            Dispatch.commit dev ~dispatch_us:dispatch ~completion_us:completion
+              ~requests:size ~nodes ~occupancy:report.Runtime.occupancy;
+            Completed
+              {
+                ao_dev = dev;
+                ao_dispatch = dispatch;
+                ao_completion = completion;
+                ao_report = report;
+                ao_attempts = n + 1;
+                ao_compiled = compiled;
+              }
           end
         end
       end
-    in
-    attempt 0 ready0
+    end
   in
-  let record_window ~i ~size ~nodes ~hit ~session ?(packed = []) ~dev ~dispatch
-      ~completion ~report ~attempts () =
-    (match obs with
-     | None -> ()
-     | Some _ ->
-       Obs.sim_span obs ~track:(device_track dev.Dispatch.dev_index)
-         ~name:"window"
-         ~args:
-           ([ ("index", CT.Int i); ("size", CT.Int size);
-              ("nodes", CT.Int nodes); ("hit", CT.Bool hit);
-              ("attempts", CT.Int attempts) ]
-           @ (match session with
-              | Some s -> [ ("session", CT.Str s) ]
-              | None -> [])
-           @
-           match packed with
-           | [] -> []
-           | names -> [ ("packed", CT.Str (String.concat "," names)) ])
-         ~start_us:dispatch ~end_us:completion ());
-    wreports :=
-      {
-        wr_index = i;
-        wr_size = size;
-        wr_nodes = nodes;
-        wr_device = dev.Dispatch.dev_index;
-        wr_cache_hit = hit;
-        wr_attempts = attempts;
-        wr_dispatch_us = dispatch;
-        wr_report = report;
-        wr_session = session;
-        wr_packed = packed;
-      }
-      :: !wreports
+  attempt 0 ready0
+
+let record_window d w ~i ~size ~dev ~dispatch ~completion ~report ~attempts =
+  let obs = d.d_obs in
+  (match obs with
+   | None -> ()
+   | Some _ ->
+     Obs.sim_span obs ~track:(device_track dev.Dispatch.dev_index) ~name:"window"
+       ~args:
+         ([ ("index", CT.Int i); ("size", CT.Int size);
+            ("nodes", CT.Int w.w_nodes); ("hit", CT.Bool w.w_hit);
+            ("attempts", CT.Int attempts) ]
+         @ (match w.w_session with
+            | Some s -> [ ("session", CT.Str s) ]
+            | None -> [])
+         @
+         match w.w_packed with
+         | [] -> []
+         | names -> [ ("packed", CT.Str (String.concat "," names)) ])
+       ~start_us:dispatch ~end_us:completion ());
+  d.d_windows <-
+    {
+      wr_index = i;
+      wr_size = size;
+      wr_nodes = w.w_nodes;
+      wr_device = dev.Dispatch.dev_index;
+      wr_cache_hit = w.w_hit;
+      wr_attempts = attempts;
+      wr_dispatch_us = dispatch;
+      wr_report = report;
+      wr_session = w.w_session;
+      wr_packed = w.w_packed;
+    }
+    :: d.d_windows
+
+let record_request t d ~i ~size ~lin_us ~dev ~dispatch ~completion ~device_us p =
+  bump_clock t completion;
+  d.d_requests <-
+    {
+      rr_id = p.p_id;
+      rr_nodes = p.p_nodes;
+      rr_window = i;
+      rr_window_size = size;
+      rr_device = dev.Dispatch.dev_index;
+      rr_arrival_us = p.p_arrival;
+      rr_deadline_us = p.p_deadline;
+      rr_queue_us = dispatch -. p.p_arrival;
+      rr_linearize_us = lin_us;
+      rr_device_us = device_us;
+      rr_total_us = completion -. p.p_arrival;
+      rr_on_time = completion <= p.p_deadline;
+    }
+    :: d.d_requests;
+  (* A missed deadline hurts the SLO the instant the deadline passes
+     without a completion, not when the late answer finally lands. *)
+  if completion > p.p_deadline then note_damage d p.p_deadline
+
+(* One token's inspector work: restore the session if it was spilled,
+   then the delta/cold decision, mutating the session's scratch tables.
+   A pack's members are all served, in pack order, before any of them
+   plays. *)
+let serve_token t d p =
+  let obs = d.d_obs in
+  let name = Option.get p.p_session in
+  let s = p.p_structure in
+  let sx = session_of t name in
+  let n = Structure.num_nodes s in
+  (* Re-admission: a spilled conversation coming back under its name
+     restores its scratch numbering and persisted rows before the token
+     is served; the priced restore cost is charged into this token's
+     linearization charge (it is deterministic, so chaos mode stays
+     byte-reproducible). *)
+  let restore_us =
+    if
+      sx.sx_structure = None
+      && sx.sx_restored_base = None
+      && Session_store.has_spill t.eng_store name
+    then begin
+      match try_restore t sx s with
+      | Some cost ->
+        Obs.incr obs "sessions.restores";
+        (match obs with
+         | None -> ()
+         | Some _ ->
+           Obs.sim_instant obs ~track:"sessions" ~name:"restore"
+             ~args:
+               [ ("session", CT.Str name); ("nodes", CT.Int n);
+                 ("restore_us", CT.Float cost) ]
+             ~ts_us:t.eng_clock_us ());
+        cost
+      | None -> 0.0
+    end
+    else 0.0
   in
-  let record_request ~i ~size ~lin_us ~dev ~dispatch ~completion ~device_us p =
-    bump_clock t completion;
-    rreports :=
-      {
-        rr_id = p.p_id;
-        rr_nodes = p.p_nodes;
-        rr_window = i;
-        rr_window_size = size;
-        rr_device = dev.Dispatch.dev_index;
-        rr_arrival_us = p.p_arrival;
-        rr_deadline_us = p.p_deadline;
-        rr_queue_us = dispatch -. p.p_arrival;
-        rr_linearize_us = lin_us;
-        rr_device_us = device_us;
-        rr_total_us = completion -. p.p_arrival;
-        rr_on_time = completion <= p.p_deadline;
-      }
-      :: !rreports;
-    (* A missed deadline hurts the SLO the instant the deadline passes
-       without a completion, not when the late answer finally lands. *)
-    if completion > p.p_deadline then note_damage p.p_deadline
-  in
-  let packed_windows = ref 0 and packed_tokens = ref 0 in
-  (* ---- session serving helpers (shared by size-1 and packed windows) ----
-     [serve_token] does one token's inspector work (restore if spilled,
-     then the delta/cold decision), mutating the session's scratch
-     tables — a packed window's members are all served, in pack order,
-     before any of them plays.  [play_session_single] is the PR 7
-     size-1 path; [play_session_packed] merges the members' delta views
-     into one packed forest window and splits the results back out. *)
-  let serve_token p =
-    let name = Option.get p.p_session in
-    let s = p.p_structure in
-    let sx = session_of t name in
-    let n = Structure.num_nodes s in
-    (* Re-admission: a spilled conversation coming back under its name
-       restores its scratch numbering and persisted rows before the
-       token is served; the priced restore cost is charged into this
-       token's linearization charge (it is deterministic, so chaos mode
-       stays byte-reproducible). *)
-    let restore_us =
-      if
-        sx.sx_structure = None
-        && sx.sx_restored_base = None
-        && Session_store.has_spill t.eng_store name
-      then begin
-        match try_restore t sx s with
-        | Some cost ->
-          Obs.incr obs "sessions.restores";
-          (match obs with
-           | None -> ()
-           | Some _ ->
-             Obs.sim_instant obs ~track:"sessions" ~name:"restore"
-               ~args:
-                 [ ("session", CT.Str name); ("nodes", CT.Int n);
-                   ("restore_us", CT.Float cost) ]
-               ~ts_us:t.eng_clock_us ());
-          cost
-        | None -> 0.0
-      end
-      else 0.0
-    in
-    (* All inspector work for the token — delta validation, scratch
-       append, view construction, geometric materialization, or the
-       cold fallback through the cache — under one timer: that is the
-       per-token cost BENCH_incremental compares against a cold
-       re-linearization. *)
-    let serve, lin_wall =
-      Stats.time_us (fun () ->
-          let compat = Lower.delta_compatible t.eng_compiled.Lower.options in
-          let dv = if compat then session_delta_view sx s else None in
-          match dv with
-          | Some (view, news, base) ->
-            sx.sx_structure <- Some s;
-            sx.sx_restored_base <- None;
-            sx.sx_extends <- sx.sx_extends + 1;
-            sx.sx_delta_nodes <- sx.sx_delta_nodes + Array.length news;
-            session_materialize ?obs t sx s;
-            S_delta { sd_view = view; sd_news = news; sd_base = base }
-          | None ->
-            (* Not pure growth of the pinned conversation (or the
-               compiled options cannot serve deltas): full
-               (re)linearization through the shape cache.  A different
-               conversation under the same name drops the persisted
-               state — its node identities no longer mean the same
-               thing. *)
-            let fresh =
-              match sx.sx_structure with
-              | Some prev ->
-                Structure.num_nodes prev = 0 || n = 0
-                || not (s.Structure.nodes.(0) == prev.Structure.nodes.(0))
-              | None -> false
-            in
-            if fresh then reset_session sx;
-            let fl, hit =
-              Shape_cache.find_or_linearize ?obs t.eng_cache
-                ~max_children:t.model.Ra.max_children [ s ]
-            in
-            sx.sx_structure <- Some s;
-            sx.sx_restored_base <- None;
-            sx.sx_forest <- Some fl;
-            sx.sx_mat_nodes <- n;
-            sx.sx_cold <- sx.sx_cold + 1;
-            sx.sx_height <-
-              Array.length fl.Linearizer.lin.Linearizer.batches - 1;
-            if Lower.delta_compatible t.eng_compiled.Lower.options then begin
-              (* Re-seed the scratch numbering so the next token can be
-                 served as a delta. *)
-              sx.sc_used <- 0;
-              ensure_session_capacity sx n;
-              Array.iter (fun nd -> push_node sx nd) s.Structure.nodes
-            end;
-            S_cold (fl, hit))
-    in
-    sx.sx_windows <- sx.sx_windows + 1;
-    (p, name, sx, serve, lin_wall, restore_us)
-  in
-  (* Bounded-table bookkeeping for a token just served: learn the
-     model's per-node state-row bytes from the rows actually stored
-     (hidden sizes are not knowable at build time), re-account the
-     session at its new size, then run the eviction pass — the budget
-     invariant holds after every session window, not just at drain end,
-     which is also what makes evict/restore churn observable inside a
-     single drain. *)
-  let account_session p sx =
-    let s = p.p_structure in
-    (if sx.sx_row_bytes = 0 && t.eng_params <> None then
-       match s.Structure.roots with
-       | root :: _ ->
-         sx.sx_row_bytes <-
-           List.fold_left
-             (fun acc (st, _) ->
-               match Hashtbl.find_opt sx.sx_states (st, root.Node.id) with
-               | Some v -> acc + (8 * Tensor.numel v)
-               | None -> acc)
-             0 t.eng_compiled.Lower.state_tensors
-       | [] -> ());
-    Session_store.touch t.eng_store sx.sx_name
-      ~bytes:(session_accounted_bytes t sx) ~now_us:t.eng_clock_us;
-    enforce_sessions ?obs t
-  in
-  let play_session_single ~ready (p, name, sx, serve, lin_wall, restore_us) =
-    let s = p.p_structure in
-    let n = Structure.num_nodes s in
-    let lin_us = (if chaos then 0.0 else lin_wall) +. restore_us in
-    let nodes, hit, run_lin =
-      match serve with
-      | S_delta { sd_view; sd_news; _ } ->
-        (Array.length sd_news, false, sd_view)
-      | S_cold (fl, hit) -> (n, hit, fl.Linearizer.lin)
-    in
-    let size = 1 in
-    (* Size-1 session windows skip plan tuning: they are deliberately
-       tiny (a token's delta), not the size-classes the tuner buckets,
-       and the pinned device would make the tuned artifact churn on
-       every failover. *)
-    let price dev =
-      ( t.eng_compiled,
-        Runtime.simulate_lin ~lock_free:t.lock_free ~linearize_us:lin_us
-          t.eng_compiled ~backend:dev.Dispatch.dev_backend run_lin )
-    in
-    (match play ~sxs:[ sx ] ~size ~nodes ~lin_us ~price ready with
-     | Lost_window at ->
-       lost := !lost + size;
-       note_damage at;
-       bump_clock t at
-     | Completed { ao_dev = dev; ao_dispatch = dispatch;
-                   ao_completion = completion; ao_report = report;
-                   ao_attempts = attempts; ao_compiled = _ } ->
-       let i = !windex in
-       incr windex;
-       let device_us = report.Runtime.latency.Backend.total_us in
-       record_window ~i ~size ~nodes ~hit ~session:(Some name) ~dev
-         ~dispatch ~completion ~report ~attempts ();
-       (* Numeric serving: a delta run pre-seeds the boundary rows (the
-          old children of appended nodes) from the session's persisted
-          states, executes only the delta batches, and persists the
-          appended nodes' states — bitwise identical to re-running the
-          whole conversation, which is what the cold path does. *)
-       (match t.eng_params with
-        | Some params ->
-          let st_names = List.map fst t.eng_compiled.Lower.state_tensors in
-          let store_states ex (nd : Node.t) sid =
-            List.iter
-              (fun st ->
-                Hashtbl.replace sx.sx_states (st, nd.Node.id)
-                  (Lower.state_value_lin ex.Runtime.exec_bound
-                     ex.Runtime.exec_compiled st sid))
-              st_names
+  (* All inspector work for the token — delta validation, scratch
+     append, view construction, geometric materialization, or the cold
+     fallback through the cache — under one timer: that is the per-token
+     cost BENCH_incremental compares against a cold re-linearization. *)
+  let serve, charge =
+    inspect d (fun () ->
+        let compat = Lower.delta_compatible t.eng_compiled.Lower.options in
+        let dv = if compat then session_delta_view sx s else None in
+        match dv with
+        | Some (view, news, base) ->
+          sx.sx_structure <- Some s;
+          sx.sx_restored_base <- None;
+          sx.sx_extends <- sx.sx_extends + 1;
+          sx.sx_delta_nodes <- sx.sx_delta_nodes + Array.length news;
+          session_materialize ?obs t sx s;
+          S_delta { sd_view = view; sd_news = news; sd_base = base }
+        | None ->
+          (* Not pure growth of the pinned conversation (or the compiled
+             options cannot serve deltas): full (re)linearization
+             through the shape cache.  A different conversation under
+             the same name drops the persisted state — its node
+             identities no longer mean the same thing. *)
+          let fresh =
+            match sx.sx_structure with
+            | Some prev ->
+              Structure.num_nodes prev = 0 || n = 0
+              || not (s.Structure.nodes.(0) == prev.Structure.nodes.(0))
+            | None -> false
           in
-          (match serve with
-           | S_delta { sd_view; sd_news; sd_base } ->
-             let preload bound =
-               Array.iter
-                 (fun (nd : Node.t) ->
-                   Array.iter
-                     (fun (c : Node.t) ->
-                       if c.Node.id < sd_base then
-                         List.iter
-                           (fun st ->
-                             match
-                               Hashtbl.find_opt sx.sx_states (st, c.Node.id)
-                             with
-                             | Some v ->
-                               Lower.set_state_lin bound t.eng_compiled st
-                                 sx.sc_sid.(c.Node.id) v
-                             | None ->
-                               failwith
-                                 "Engine: missing persisted state at the \
-                                  session's delta boundary")
-                           st_names)
-                     nd.Node.children)
-                 sd_news
-             in
-             let ex =
-               Runtime.execute_lin ~preload t.eng_compiled ~params sd_view
-             in
-             Array.iter
-               (fun nd -> store_states ex nd sx.sc_sid.(nd.Node.id))
-               sd_news
-           | S_cold (fl, _) ->
-             let ex =
-               Runtime.execute_lin t.eng_compiled ~params fl.Linearizer.lin
-             in
-             let span = fl.Linearizer.spans.(0) in
-             Array.iter
-               (fun (nd : Node.t) ->
-                 store_states ex nd span.Linearizer.span_ids.(nd.Node.id))
-               s.Structure.nodes);
-          let out = List.hd t.model.Ra.outputs in
-          (match s.Structure.roots with
-           | [] -> ()
-           | root :: _ -> (
-             match Hashtbl.find_opt sx.sx_states (out, root.Node.id) with
-             | Some v -> results := (p.p_id, v) :: !results
-             | None -> ()))
-        | None -> ());
-       record_request ~i ~size ~lin_us ~dev ~dispatch ~completion ~device_us
-         p;
-       if completion > p.p_deadline then
-         sx.sx_deadline_misses <- sx.sx_deadline_misses + 1);
-    account_session p sx
+          if fresh then reset_session sx;
+          let fl, hit =
+            Shape_cache.find_or_linearize ?obs t.eng_cache
+              ~max_children:t.model.Ra.max_children [ s ]
+          in
+          sx.sx_structure <- Some s;
+          sx.sx_restored_base <- None;
+          sx.sx_forest <- Some fl;
+          sx.sx_mat_nodes <- n;
+          sx.sx_cold <- sx.sx_cold + 1;
+          sx.sx_height <- Array.length fl.Linearizer.lin.Linearizer.batches - 1;
+          if compat then begin
+            (* Re-seed the scratch numbering so the next token can be
+               served as a delta. *)
+            sx.sc_used <- 0;
+            ensure_session_capacity sx n;
+            Array.iter (fun nd -> push_node sx nd) s.Structure.nodes
+          end;
+          S_cold (fl, hit))
   in
-  let play_session_packed ~ready toks pk =
-    let size = List.length toks in
-    let names = List.map (fun (_, name, _, _, _, _) -> name) toks in
-    let sxs = List.map (fun (_, _, sx, _, _, _) -> sx) toks in
-    let view = pk.Linearizer.pk_view in
-    (* The window's work is its delta nodes; the old-prefix rows below
-       [pk_base] exist only to receive pre-seeded boundary states and
-       are never iterated by a batch. *)
-    let nodes = view.Linearizer.num_nodes - pk.Linearizer.pk_base in
-    let lin_us =
+  sx.sx_windows <- sx.sx_windows + 1;
+  { tk_p = p; tk_sx = sx; tk_serve = serve; tk_charge = charge; tk_restore_us = restore_us }
+
+(* Bounded-table bookkeeping for a token just played: learn the model's
+   per-node state-row bytes from the rows actually stored (hidden sizes
+   are not knowable at build time), re-account the session at its new
+   size, then run the eviction pass — the budget invariant holds after
+   every session window, not just at drain end, which is also what makes
+   evict/restore churn observable inside a single drain. *)
+let account_session t d tk =
+  let sx = tk.tk_sx in
+  (if sx.sx_row_bytes = 0 && t.eng_params <> None then
+     match tk.tk_p.p_structure.Structure.roots with
+     | root :: _ ->
+       sx.sx_row_bytes <-
+         List.fold_left
+           (fun acc (st, _) ->
+             match Hashtbl.find_opt sx.sx_states (st, root.Node.id) with
+             | Some v -> acc + (8 * Tensor.numel v)
+             | None -> acc)
+           0 t.eng_compiled.Lower.state_tensors
+     | [] -> ());
+  Session_store.touch t.eng_store sx.sx_name
+    ~bytes:(session_accounted_bytes t sx) ~now_us:t.eng_clock_us;
+  enforce_sessions ?obs:d.d_obs t
+
+let token_lin_us tk = tk.tk_charge +. tk.tk_restore_us
+
+(* A batch of plain requests.  Linearize exactly once and reuse the
+   result, timing that one run: a cache hit is a payload re-bind, a miss
+   the full inspector pass. *)
+let plain_window t d members =
+  let (fl, hit), lin_us =
+    inspect d (fun () ->
+        Shape_cache.find_or_linearize ?obs:d.d_obs t.eng_cache
+          ~max_children:t.model.Ra.max_children
+          (List.map (fun p -> p.p_structure) members))
+  in
+  let lin = fl.Linearizer.lin in
+  {
+    w_members = List.map (fun p -> Plain p) members;
+    w_lin = lin;
+    w_nodes = lin.Linearizer.num_nodes;
+    w_lin_us = lin_us;
+    w_id = (fun k id -> fl.Linearizer.spans.(k).Linearizer.span_ids.(id));
+    (* With autotune on, the window runs the plan tuned for this
+       device's (backend, size-class); the first window of a class pays
+       the (host-side) search.  The plan preserves semantics bitwise, so
+       retries and failovers across differently-tuned devices cannot
+       change results. *)
+    w_tune = Some false;
+    w_hit = hit;
+    w_session = None;
+    w_packed = [];
+  }
+
+(* One session token in its own size-1 window, priced on its delta view
+   (numbered by session id) or its cold forest.  Size-1 session windows
+   skip plan tuning: they are deliberately tiny (a token's delta), not
+   the size-classes the tuner buckets, and the pinned device would make
+   the tuned artifact churn on every failover. *)
+let token_window tk =
+  let lin, nodes, w_id, hit =
+    match tk.tk_serve with
+    | S_delta { sd_view; sd_news; _ } ->
+      (sd_view, Array.length sd_news, (fun _ sid -> sid), false)
+    | S_cold (fl, hit) ->
+      ( fl.Linearizer.lin,
+        Structure.num_nodes tk.tk_p.p_structure,
+        (fun k id -> fl.Linearizer.spans.(k).Linearizer.span_ids.(id)),
+        hit )
+  in
+  {
+    w_members = [ Token tk ];
+    w_lin = lin;
+    w_nodes = nodes;
+    w_lin_us = token_lin_us tk;
+    w_id;
+    w_tune = None;
+    w_hit = hit;
+    w_session = Some tk.tk_sx.sx_name;
+    w_packed = [];
+  }
+
+(* Several sessions' delta tokens merged into one forest launch.  The
+   window's work is its delta nodes: the old-prefix rows below [pk_base]
+   exist only to receive pre-seeded boundary states and are never
+   iterated by a batch.  Packs are real batch work, so under autotune
+   they consult the plan cache — in the packed key space, so a plan
+   tuned for plain windows of the same size class is never silently
+   reused for level-merged session batches. *)
+let pack_window pk toks =
+  let view = pk.Linearizer.pk_view in
+  {
+    w_members = List.map (fun tk -> Token tk) toks;
+    w_lin = view;
+    w_nodes = view.Linearizer.num_nodes - pk.Linearizer.pk_base;
+    w_lin_us =
       List.fold_left
-        (fun acc (_, _, _, _, lw, ru) ->
-          acc +. (if chaos then 0.0 else lw) +. ru)
-        0.0 toks
-    in
-    let price dev =
-      (* Packed windows are real batch work, so under autotune they do
-         consult the plan cache — in the packed key space, so a plan
-         tuned for regular windows of the same size class is never
-         silently reused for level-merged session batches. *)
-      let compiled =
-        match t.eng_plans with
-        | None -> t.eng_compiled
-        | Some pc ->
-          let entry, _hit =
-            Plan_cache.find_or_tune ?obs:t.eng_obs pc ~packed:true
-              ~compiled:t.eng_compiled ~backend:dev.Dispatch.dev_backend
-              ~lin:view ~nodes
-          in
-          entry.Plan_cache.pe_compiled
-      in
-      ( compiled,
-        Runtime.simulate_lin ~lock_free:t.lock_free ~linearize_us:lin_us
-          compiled ~backend:dev.Dispatch.dev_backend view )
-    in
-    (match play ~sxs ~size ~nodes ~lin_us ~price ready with
-     | Lost_window at ->
-       lost := !lost + size;
-       note_damage at;
-       bump_clock t at
-     | Completed { ao_dev = dev; ao_dispatch = dispatch;
-                   ao_completion = completion; ao_report = report;
-                   ao_attempts = attempts; ao_compiled = ran_compiled } ->
-       let i = !windex in
-       incr windex;
-       incr packed_windows;
-       packed_tokens := !packed_tokens + size;
-       Obs.incr obs "sessions.packed_windows";
-       Obs.incr obs ~by:size "sessions.packed_tokens";
-       let device_us = report.Runtime.latency.Backend.total_us in
-       record_window ~i ~size ~nodes ~hit:false ~session:None ~packed:names
-         ~dev ~dispatch ~completion ~report ~attempts ();
-       (* Numeric serving, one launch for every member: pre-seed each
-          member's boundary rows at their packed ids, execute the merged
-          batches once, then split the appended nodes' states and the
-          per-request results back out per member — bitwise identical
-          to serving the members as size-1 windows. *)
-       (match t.eng_params with
-        | Some params ->
-          let st_names = List.map fst t.eng_compiled.Lower.state_tensors in
-          let preload bound =
-            List.iteri
-              (fun mi (_, _, sx, serve, _, _) ->
-                match serve with
-                | S_cold _ -> assert false
-                | S_delta { sd_news; sd_base; _ } ->
-                  Array.iter
-                    (fun (nd : Node.t) ->
-                      Array.iter
-                        (fun (c : Node.t) ->
-                          if c.Node.id < sd_base then
-                            List.iter
-                              (fun st ->
-                                match
-                                  Hashtbl.find_opt sx.sx_states (st, c.Node.id)
-                                with
-                                | Some v ->
-                                  Lower.set_state_lin bound ran_compiled st
-                                    (Linearizer.pack_id pk ~member:mi
-                                       sx.sc_sid.(c.Node.id))
-                                    v
-                                | None ->
-                                  failwith
-                                    "Engine: missing persisted state at a \
-                                     packed window's delta boundary")
-                              st_names)
-                        nd.Node.children)
-                    sd_news)
-              toks
-          in
-          let ex = Runtime.execute_lin ~preload ran_compiled ~params view in
-          let out = List.hd t.model.Ra.outputs in
-          List.iteri
-            (fun mi (p, _, sx, serve, _, _) ->
-              match serve with
-              | S_cold _ -> assert false
-              | S_delta { sd_news; _ } ->
-                Array.iter
-                  (fun (nd : Node.t) ->
-                    let pid =
-                      Linearizer.pack_id pk ~member:mi sx.sc_sid.(nd.Node.id)
-                    in
+        (fun acc tk -> acc +. tk.tk_charge +. tk.tk_restore_us)
+        0.0 toks;
+    w_id = (fun mi sid -> Linearizer.pack_id pk ~member:mi sid);
+    w_tune = Some true;
+    w_hit = false;
+    w_session = None;
+    w_packed = List.map (fun tk -> tk.tk_sx.sx_name) toks;
+  }
+
+(* Numeric serving, one launch for the whole window: pre-seed every
+   delta member's boundary rows (the old children of its appended
+   nodes) from the session's persisted states, execute the window's
+   launch sequence once, then split the results — and each token's new
+   states — back out per member through the window's id map.  Retries
+   and failovers re-dispatch the same linearization, so the numbers
+   cannot depend on the fault history, and a delta or packed run is
+   bitwise identical to re-running each whole conversation cold. *)
+let execute_window t d w ~compiled ~params =
+  let st_names = List.map fst t.eng_compiled.Lower.state_tensors in
+  let preload bound =
+    List.iteri
+      (fun mi m ->
+        match m with
+        | Token { tk_sx = sx; tk_serve = S_delta { sd_news; sd_base; _ }; _ } ->
+          Array.iter
+            (fun (nd : Node.t) ->
+              Array.iter
+                (fun (c : Node.t) ->
+                  if c.Node.id < sd_base then
                     List.iter
                       (fun st ->
-                        Hashtbl.replace sx.sx_states (st, nd.Node.id)
-                          (Lower.state_value_lin ex.Runtime.exec_bound
-                             ex.Runtime.exec_compiled st pid))
+                        match Hashtbl.find_opt sx.sx_states (st, c.Node.id) with
+                        | Some v ->
+                          Lower.set_state_lin bound compiled st
+                            (w.w_id mi sx.sc_sid.(c.Node.id))
+                            v
+                        | None ->
+                          failwith
+                            "Engine: missing persisted state at a session's \
+                             delta boundary")
                       st_names)
-                  sd_news;
-                (match p.p_structure.Structure.roots with
-                 | [] -> ()
-                 | root :: _ -> (
-                   match Hashtbl.find_opt sx.sx_states (out, root.Node.id) with
-                   | Some v -> results := (p.p_id, v) :: !results
-                   | None -> ())))
-            toks
-        | None -> ());
-       List.iter
-         (fun (p, _, sx, _, lw, ru) ->
-           let tok_lin = (if chaos then 0.0 else lw) +. ru in
-           record_request ~i ~size ~lin_us:tok_lin ~dev ~dispatch ~completion
-             ~device_us p;
-           sx.sx_packed <- sx.sx_packed + 1;
+                nd.Node.children)
+            sd_news
+        | Token { tk_serve = S_cold _; _ } | Plain _ -> ())
+      w.w_members
+  in
+  let ex = Runtime.execute_lin ~preload compiled ~params w.w_lin in
+  let value k st id =
+    Lower.state_value_lin ex.Runtime.exec_bound ex.Runtime.exec_compiled st (w.w_id k id)
+  in
+  let out = List.hd t.model.Ra.outputs in
+  List.iteri
+    (fun k m ->
+      let p, result =
+        match m with
+        | Plain p -> (p, fun (root : Node.t) -> Some (value k out root.Node.id))
+        | Token tk ->
+          let sx = tk.tk_sx in
+          let stored, local =
+            match tk.tk_serve with
+            | S_delta { sd_news; _ } -> (sd_news, fun id -> sx.sc_sid.(id))
+            | S_cold _ -> (tk.tk_p.p_structure.Structure.nodes, Fun.id)
+          in
+          Array.iter
+            (fun (nd : Node.t) ->
+              List.iter
+                (fun st ->
+                  Hashtbl.replace sx.sx_states (st, nd.Node.id)
+                    (value k st (local nd.Node.id)))
+                st_names)
+            stored;
+          (tk.tk_p, fun root -> Hashtbl.find_opt sx.sx_states (out, root.Node.id))
+      in
+      match p.p_structure.Structure.roots with
+      | [] -> ()
+      | root :: _ -> (
+        match result root with
+        | Some v -> d.d_results <- (p.p_id, v) :: d.d_results
+        | None -> ()))
+    w.w_members
+
+(* Play one window, whatever its kind: price it (through the plan cache
+   when it tunes), run it through the retry/failover loop, record the
+   window and its requests, execute it numerically when parameters are
+   installed, and account every member session. *)
+let play_window t d ~ready w =
+  let size = List.length w.w_members in
+  let sxs =
+    List.filter_map (function Token tk -> Some tk.tk_sx | Plain _ -> None) w.w_members
+  in
+  let price dev =
+    let backend = dev.Dispatch.dev_backend in
+    let compiled =
+      match (t.eng_plans, w.w_tune) with
+      | Some pc, Some packed ->
+        let entry, _hit =
+          Plan_cache.find_or_tune ?obs:t.eng_obs pc ~packed ~compiled:t.eng_compiled
+            ~backend ~lin:w.w_lin ~nodes:w.w_nodes
+        in
+        entry.Plan_cache.pe_compiled
+      | _ -> t.eng_compiled
+    in
+    ( compiled,
+      Runtime.simulate_lin ~lock_free:t.lock_free ~linearize_us:w.w_lin_us compiled
+        ~backend w.w_lin )
+  in
+  (match play t d ~sxs ~size ~nodes:w.w_nodes ~lin_us:w.w_lin_us ~price ready with
+   | Lost_window at ->
+     d.d_lost <- d.d_lost + size;
+     note_damage d at;
+     bump_clock t at
+   | Completed { ao_dev = dev; ao_dispatch = dispatch; ao_completion = completion;
+                 ao_report = report; ao_attempts = attempts; ao_compiled = compiled } ->
+     let i = d.d_windex in
+     d.d_windex <- i + 1;
+     let packed = w.w_packed <> [] in
+     if packed then begin
+       d.d_packed_windows <- d.d_packed_windows + 1;
+       d.d_packed_tokens <- d.d_packed_tokens + size;
+       Obs.incr d.d_obs "sessions.packed_windows";
+       Obs.incr d.d_obs ~by:size "sessions.packed_tokens"
+     end;
+     let device_us = report.Runtime.latency.Backend.total_us in
+     record_window d w ~i ~size ~dev ~dispatch ~completion ~report ~attempts;
+     (match t.eng_params with
+      | Some params -> execute_window t d w ~compiled ~params
+      | None -> ());
+     List.iter
+       (fun m ->
+         match m with
+         | Plain p ->
+           record_request t d ~i ~size ~lin_us:w.w_lin_us ~dev ~dispatch ~completion
+             ~device_us p
+         | Token tk ->
+           let p = tk.tk_p and sx = tk.tk_sx in
+           record_request t d ~i ~size ~lin_us:(token_lin_us tk) ~dev ~dispatch
+             ~completion ~device_us p;
+           if packed then sx.sx_packed <- sx.sx_packed + 1;
            if completion > p.p_deadline then
              sx.sx_deadline_misses <- sx.sx_deadline_misses + 1)
-         toks);
-    List.iter (fun (p, _, sx, _, _, _) -> account_session p sx) toks
-  in
+       w.w_members);
   List.iter
-    (fun (ready, item) ->
-      (* Advance the monotone engine clock window by window (windows
-         play in ready order): sessions age against the simulated time
-         the drain has actually reached, so a conversation that went
-         quiet early shows real idle time to the TTL pass instead of
-         being backdated to the drain's newest arrival. *)
-      bump_clock t ready;
-      match item with
-      | I_regular members ->
-        let structures = List.map (fun p -> p.p_structure) members in
-        (* Linearize exactly once and reuse the result, timing that one
-           run: a cache hit is a payload re-bind, a miss the full
-           inspector pass — either way the wall clock measured is the
-           wall clock charged (chaos mode charges zero; see above). *)
-        let (fl, hit), lin_wall =
-          Stats.time_us (fun () ->
-              Shape_cache.find_or_linearize ?obs t.eng_cache
-                ~max_children:t.model.Ra.max_children structures)
-        in
-        let lin_us = if chaos then 0.0 else lin_wall in
-        let nodes = fl.Linearizer.lin.Linearizer.num_nodes in
-        let size = List.length members in
-        let price dev =
-          (* With autotune on, the window runs the plan tuned for this
-             device's (backend, size-class); the first window of a
-             class pays the (host-side) search.  The plan preserves
-             semantics bitwise, so retries and failovers across
-             differently-tuned devices cannot change results. *)
-          let compiled =
-            match t.eng_plans with
-            | None -> t.eng_compiled
-            | Some pc ->
-              let entry, _hit =
-                Plan_cache.find_or_tune ?obs:t.eng_obs pc
-                  ~compiled:t.eng_compiled ~backend:dev.Dispatch.dev_backend
-                  ~lin:fl.Linearizer.lin ~nodes
-              in
-              entry.Plan_cache.pe_compiled
-          in
-          let report =
-            Runtime.simulate_lin ~lock_free:t.lock_free ~linearize_us:lin_us
-              compiled ~backend:dev.Dispatch.dev_backend fl.Linearizer.lin
-          in
-          (compiled, report)
-        in
-        (match play ~sxs:[] ~size ~nodes ~lin_us ~price ready with
-         | Lost_window at ->
-           lost := !lost + size;
-           note_damage at;
-           bump_clock t at
-         | Completed { ao_dev = dev; ao_dispatch = dispatch;
-                       ao_completion = completion; ao_report = report;
-                       ao_attempts = attempts; ao_compiled = ran_compiled } ->
-           let i = !windex in
-           incr windex;
-           let device_us = report.Runtime.latency.Backend.total_us in
-           record_window ~i ~size ~nodes ~hit ~session:None ~dev ~dispatch
-             ~completion ~report ~attempts ();
-           (* Numeric serving: with a parameter resolver installed, run
-              the window's forest through the compiled kernels once
-              (retries and failovers re-dispatch the same
-              linearization, so the numbers cannot depend on the fault
-              history — the property the chaos tests pin bitwise). *)
-           (match t.eng_params with
-            | Some params ->
-              let ex = Runtime.execute_lin ran_compiled ~params fl.Linearizer.lin in
-              let out = List.hd t.model.Ra.outputs in
-              List.iteri
-                (fun k p ->
-                  match p.p_structure.Structure.roots with
-                  | [] -> ()
-                  | root :: _ ->
-                    let span = fl.Linearizer.spans.(k) in
-                    let v =
-                      Lower.state_value_lin ex.Runtime.exec_bound
-                        ex.Runtime.exec_compiled out
-                        span.Linearizer.span_ids.(root.Node.id)
-                    in
-                    results := (p.p_id, v) :: !results)
-                members
-            | None -> ());
-           List.iter
-             (record_request ~i ~size ~lin_us ~dev ~dispatch ~completion
-                ~device_us)
-             members)
-      | I_session p -> play_session_single ~ready (serve_token p)
-      | I_pack members ->
-        (* Serve every member's inspector work first, in pack order
-           (scratch appends are per-session, so order across sessions
-           only matters for determinism, which pack order provides);
-           members that came out cold — or whose delta views refuse to
-           merge — fall back to the size-1 path, still at this pack's
-           ready time. *)
-        let served = List.map serve_token members in
-        let deltas, colds =
-          List.partition
-            (fun (_, _, _, serve, _, _) ->
-              match serve with S_delta _ -> true | S_cold _ -> false)
-            served
-        in
-        List.iter (play_session_single ~ready) colds;
-        (match deltas with
-         | [] -> ()
-         | [ one ] -> play_session_single ~ready one
-         | toks -> (
-           let views =
-             List.map
-               (fun (_, _, _, serve, _, _) ->
-                 match serve with
-                 | S_delta d -> d.sd_view
-                 | S_cold _ -> assert false)
-               toks
-           in
-           match Linearizer.pack_views views with
-           | pk -> play_session_packed ~ready toks pk
-           | exception Linearizer.Rejected _ ->
-             List.iter (play_session_single ~ready) toks)))
-    windows;
+    (function Token tk -> account_session t d tk | Plain _ -> ())
+    w.w_members
+
+(* Play one formed item at its ready time.  A session item serves every
+   token's inspector work first, in item order (scratch appends are
+   per-session, so order across sessions only matters for determinism,
+   which item order provides).  Tokens that came out cold play alone;
+   the delta tokens merge into one pack, unless there is only one — a
+   lone token keeps its own delta view and numbering — or their views
+   refuse to merge, in which case each plays alone, still at this ready
+   time. *)
+let play_item t d (ready, members) =
+  (* Advance the monotone engine clock window by window (items play in
+     ready order): sessions age against the simulated time the drain has
+     actually reached, so a conversation that went quiet early shows
+     real idle time to the TTL pass instead of being backdated to the
+     drain's newest arrival. *)
+  bump_clock t ready;
+  let alone tk = play_window t d ~ready (token_window tk) in
+  match members with
+  | { p_session = None; _ } :: _ -> play_window t d ~ready (plain_window t d members)
+  | _ -> (
+    let toks = List.map (serve_token t d) members in
+    let deltas, colds =
+      List.partition
+        (fun tk -> match tk.tk_serve with S_delta _ -> true | S_cold _ -> false)
+        toks
+    in
+    List.iter alone colds;
+    match deltas with
+    | [] -> ()
+    | [ one ] -> alone one
+    | _ -> (
+      let view tk =
+        match tk.tk_serve with S_delta dl -> dl.sd_view | S_cold _ -> assert false
+      in
+      match Linearizer.pack_views (List.map view deltas) with
+      | pk -> play_window t d ~ready (pack_window pk deltas)
+      | exception Linearizer.Rejected _ -> List.iter alone deltas))
+
+(* ---- account ---- *)
+
+let account t d =
+  let obs = d.d_obs in
   (* End-of-drain eviction pass at the drain's high-water simulated
      clock: TTL expiries age out here even when their session saw no
      traffic, and a mid-drain budget change (set_session_budget) takes
@@ -2373,42 +2336,42 @@ let drain t =
      instants land inside the drain span. *)
   enforce_sessions ?obs t;
   let session_table = Session_store.stats t.eng_store in
-  let requests = List.sort (fun a b -> compare a.rr_id b.rr_id) !rreports in
-  let windows = List.rev !wreports in
+  let requests = List.sort (fun a b -> compare a.rr_id b.rr_id) d.d_requests in
+  let windows = List.rev d.d_windows in
   let aggregate = aggregate_of requests ~num_windows:(List.length windows) in
   let device_reports =
     Array.to_list
       (Array.map
-         (fun (d : Dispatch.device) ->
+         (fun (dv : Dispatch.device) ->
            {
-             dr_index = d.Dispatch.dev_index;
-             dr_backend = d.Dispatch.dev_backend;
-             dr_failed = d.Dispatch.dev_failed;
-             dr_windows = d.Dispatch.dev_windows;
-             dr_requests = d.Dispatch.dev_requests;
-             dr_nodes = d.Dispatch.dev_nodes;
-             dr_busy_us = d.Dispatch.dev_busy_us;
+             dr_index = dv.Dispatch.dev_index;
+             dr_backend = dv.Dispatch.dev_backend;
+             dr_failed = dv.Dispatch.dev_failed;
+             dr_windows = dv.Dispatch.dev_windows;
+             dr_requests = dv.Dispatch.dev_requests;
+             dr_nodes = dv.Dispatch.dev_nodes;
+             dr_busy_us = dv.Dispatch.dev_busy_us;
              dr_utilization =
                (if aggregate.makespan_us > 0.0 then
-                  d.Dispatch.dev_busy_us /. aggregate.makespan_us
+                  dv.Dispatch.dev_busy_us /. aggregate.makespan_us
                 else 0.0);
-             dr_occupancy = Dispatch.mean_occupancy d;
+             dr_occupancy = Dispatch.mean_occupancy dv;
            })
-         (Dispatch.devices disp))
+         (Dispatch.devices d.d_disp))
   in
   let on_time = List.length (List.filter (fun r -> r.rr_on_time) requests) in
   let slo =
     {
       slo_seed = t.eng_seed;
-      slo_chaos = chaos;
-      slo_degraded = degraded;
+      slo_chaos = d.d_chaos;
+      slo_degraded = d.d_degraded;
       slo_completed = aggregate.num_requests;
-      slo_lost = !lost;
-      slo_shed = shed;
-      slo_rejected = rejected;
-      slo_transients = !transients;
-      slo_retries = !retries;
-      slo_failovers = !failovers;
+      slo_lost = d.d_lost;
+      slo_shed = d.d_shed;
+      slo_rejected = d.d_rejected;
+      slo_transients = d.d_transients;
+      slo_retries = d.d_retries;
+      slo_failovers = d.d_failovers;
       slo_deadline_misses = aggregate.num_requests - on_time;
       slo_on_time = on_time;
       slo_goodput_rps =
@@ -2416,7 +2379,7 @@ let drain t =
            float_of_int on_time /. aggregate.makespan_us *. 1.0e6
          else 0.0);
       slo_first_damage_us =
-        (if !first_damage < infinity then Some !first_damage else None);
+        (if d.d_first_damage < infinity then Some d.d_first_damage else None);
     }
   in
   (* Metrics and the enclosing drain span, recorded last so the span
@@ -2426,12 +2389,12 @@ let drain t =
    | None -> ()
    | Some o ->
      Obs.incr obs ~by:aggregate.num_requests "requests.completed";
-     Obs.incr obs ~by:!lost "requests.lost";
-     Obs.incr obs ~by:shed "requests.shed";
-     Obs.incr obs ~by:rejected "requests.rejected";
+     Obs.incr obs ~by:d.d_lost "requests.lost";
+     Obs.incr obs ~by:d.d_shed "requests.shed";
+     Obs.incr obs ~by:d.d_rejected "requests.rejected";
      Obs.incr obs ~by:(List.length windows) "windows.formed";
-     Obs.set_gauge obs "queue.depth" (float_of_int depth);
-     Obs.set_gauge obs "drain.degraded" (if degraded then 1.0 else 0.0);
+     Obs.set_gauge obs "queue.depth" (float_of_int d.d_depth);
+     Obs.set_gauge obs "drain.degraded" (if d.d_degraded then 1.0 else 0.0);
      Obs.set_gauge obs "cache.hit_rate"
        (Shape_cache.hit_rate (Shape_cache.stats t.eng_cache));
      if
@@ -2445,10 +2408,10 @@ let drain t =
          (float_of_int session_table.Session_store.st_bytes)
      end;
      List.iter
-       (fun d ->
+       (fun dr ->
          Obs.set_gauge obs
-           (Printf.sprintf "device%d.utilization" d.dr_index)
-           d.dr_utilization)
+           (Printf.sprintf "device%d.utilization" dr.dr_index)
+           dr.dr_utilization)
        device_reports;
      List.iter
        (fun r ->
@@ -2458,19 +2421,19 @@ let drain t =
      List.iter
        (fun w -> Obs.observe obs "window.size" (float_of_int w.wr_size))
        windows;
-     (* Stamped before the drain span so [sim_bounds] covers it: a
-        trace scanner measuring detectability reads this instant as
-        "the SLO was first hurt here". *)
-     if !first_damage < infinity then
+     (* Stamped before the drain span so [sim_bounds] covers it: a trace
+        scanner measuring detectability reads this instant as "the SLO
+        was first hurt here". *)
+     if d.d_first_damage < infinity then
        Obs.sim_instant obs ~track:"slo" ~name:"slo_damage"
-         ~args:[ ("at_us", CT.Float !first_damage) ]
-         ~ts_us:!first_damage ();
+         ~args:[ ("at_us", CT.Float d.d_first_damage) ]
+         ~ts_us:d.d_first_damage ();
      (match Obs.sim_bounds o with
       | Some (lo, hi) ->
         Obs.sim_span obs ~track:"engine" ~name:"drain"
           ~args:[ ("requests", CT.Int aggregate.num_requests);
                   ("windows", CT.Int (List.length windows));
-                  ("lost", CT.Int !lost) ]
+                  ("lost", CT.Int d.d_lost) ]
           ~start_us:lo ~end_us:hi ()
       | None -> ()));
   let plans =
@@ -2501,16 +2464,21 @@ let drain t =
     device_reports;
     cache = Shape_cache.stats t.eng_cache;
     slo;
-    results = List.sort (fun (a, _) (b, _) -> compare a b) !results;
+    results = List.sort (fun (a, _) (b, _) -> compare a b) d.d_results;
     sessions = sessions t;
     session_table;
-    packed_windows = !packed_windows;
-    packed_tokens = !packed_tokens;
+    packed_windows = d.d_packed_windows;
+    packed_tokens = d.d_packed_tokens;
     metrics = Obs.snapshot obs;
-    metrics_at_damage = !damage_metrics;
+    metrics_at_damage = d.d_damage_metrics;
     plans;
     plan_cache;
   }
+
+let drain t =
+  let d, policy, pendings = admit t in
+  List.iter (play_item t d) (form t policy pendings);
+  account t d
 
 let run_trace t trace =
   (* The trace contract says sorted by arrival; silently windowing an

@@ -245,33 +245,6 @@ val create :
     [max_batch], negative caps, empty device list, a fault spec that
     does not fit the fleet). *)
 
-val create_legacy :
-  ?policy:policy ->
-  ?options:Cortex_lower.Lower.options ->
-  ?lock_free:bool ->
-  ?dispatch:Dispatch.policy ->
-  ?devices:Cortex_backend.Backend.t list ->
-  ?cache_capacity:int ->
-  ?queue_cap:int ->
-  ?degrade_watermark:int ->
-  ?faults:Fault.spec ->
-  ?seed:int ->
-  ?retry:Fault.retry ->
-  ?params:(string -> Cortex_tensor.Tensor.t) ->
-  ?obs:Cortex_obs.Obs.t ->
-  ?autotune:bool ->
-  ?tune_budget:int ->
-  model:Cortex_ra.Ra.t ->
-  backend:Cortex_backend.Backend.t ->
-  unit ->
-  t
-[@@ocaml.deprecated
-  "Engine.create_legacy is the pre-Config entry point; use Engine.create \
-   ?config (Config.make carries the same labels)."]
-(** The old 15-argument entry point, kept as a thin wrapper over
-    {!Config.make} + {!create} for out-of-tree callers.
-    @deprecated use {!create} with a {!Config.t}. *)
-
 val of_spec :
   ?config:Config.t ->
   M.t ->
