@@ -1386,9 +1386,10 @@ let aggregate_of requests ~num_windows =
       List.fold_left (fun m r -> Float.min m r.rr_arrival_us) infinity requests
     in
     let last_completion =
+      (* neg_infinity, not 0, for the same reason as in [form_windows]. *)
       List.fold_left
         (fun m r -> Float.max m (r.rr_arrival_us +. r.rr_total_us))
-        0.0 requests
+        Float.neg_infinity requests
     in
     let makespan_us = last_completion -. first_arrival in
     {

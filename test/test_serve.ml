@@ -373,7 +373,28 @@ let test_negative_arrivals () =
   Alcotest.(check int) "one full window" 1 s.Engine.aggregate.Engine.num_windows;
   let r0 = List.hd s.Engine.requests in
   Alcotest.(check (float 1e-9)) "first member waits for the second only" 50.0
-    r0.Engine.rr_queue_us
+    r0.Engine.rr_queue_us;
+  (* The aggregate folds its last completion from [neg_infinity] too: a
+     trace that completes entirely before time zero still spans last
+     completion - first arrival. *)
+  let engine = Engine.of_spec ~config:(Engine.Config.make ~policy ()) small_spec ~backend:gpu in
+  submit_at engine [ -1.0e6; -1.0e6 +. 50.0 ];
+  let s = Engine.drain engine in
+  let rs = s.Engine.requests in
+  let last_completion =
+    List.fold_left
+      (fun m (r : Engine.request_report) ->
+        Float.max m (r.Engine.rr_arrival_us +. r.Engine.rr_total_us))
+      Float.neg_infinity rs
+  in
+  let first_arrival =
+    List.fold_left
+      (fun m (r : Engine.request_report) -> Float.min m r.Engine.rr_arrival_us)
+      Float.infinity rs
+  in
+  Alcotest.(check bool) "every completion is negative" true (last_completion < 0.0);
+  Alcotest.(check (float 1e-9)) "makespan = last completion - first arrival"
+    (last_completion -. first_arrival) s.Engine.aggregate.Engine.makespan_us
 
 (* ---------- the shape-keyed linearization cache ---------- *)
 
