@@ -2073,6 +2073,9 @@ let account_session t d tk =
 
 let token_lin_us tk = tk.tk_charge +. tk.tk_restore_us
 
+(* A forest's member id map: request k's node id -> forest id. *)
+let span_id (fl : Linearizer.forest) k id = fl.Linearizer.spans.(k).Linearizer.span_ids.(id)
+
 (* A batch of plain requests.  Linearize exactly once and reuse the
    result, timing that one run: a cache hit is a payload re-bind, a miss
    the full inspector pass. *)
@@ -2089,7 +2092,7 @@ let plain_window t d members =
     w_lin = lin;
     w_nodes = lin.Linearizer.num_nodes;
     w_lin_us = lin_us;
-    w_id = (fun k id -> fl.Linearizer.spans.(k).Linearizer.span_ids.(id));
+    w_id = span_id fl;
     (* With autotune on, the window runs the plan tuned for this
        device's (backend, size-class); the first window of a class pays
        the (host-side) search.  The plan preserves semantics bitwise, so
@@ -2114,7 +2117,7 @@ let token_window tk =
     | S_cold (fl, hit) ->
       ( fl.Linearizer.lin,
         Structure.num_nodes tk.tk_p.p_structure,
-        (fun k id -> fl.Linearizer.spans.(k).Linearizer.span_ids.(id)),
+        span_id fl,
         hit )
   in
   {
@@ -2195,34 +2198,33 @@ let execute_window t d w ~compiled ~params =
     Lower.state_value_lin ex.Runtime.exec_bound ex.Runtime.exec_compiled st (w.w_id k id)
   in
   let out = List.hd t.model.Ra.outputs in
+  let emit p v = d.d_results <- (p.p_id, v) :: d.d_results in
   List.iteri
     (fun k m ->
-      let p, result =
-        match m with
-        | Plain p -> (p, fun (root : Node.t) -> Some (value k out root.Node.id))
-        | Token tk ->
-          let sx = tk.tk_sx in
-          let stored, local =
-            match tk.tk_serve with
-            | S_delta { sd_news; _ } -> (sd_news, fun id -> sx.sc_sid.(id))
-            | S_cold _ -> (tk.tk_p.p_structure.Structure.nodes, Fun.id)
-          in
-          Array.iter
-            (fun (nd : Node.t) ->
-              List.iter
-                (fun st ->
-                  Hashtbl.replace sx.sx_states (st, nd.Node.id)
-                    (value k st (local nd.Node.id)))
-                st_names)
-            stored;
-          (tk.tk_p, fun root -> Hashtbl.find_opt sx.sx_states (out, root.Node.id))
-      in
-      match p.p_structure.Structure.roots with
-      | [] -> ()
-      | root :: _ -> (
-        match result root with
-        | Some v -> d.d_results <- (p.p_id, v) :: d.d_results
-        | None -> ()))
+      match m with
+      | Plain p -> (
+        match p.p_structure.Structure.roots with
+        | root :: _ -> emit p (value k out root.Node.id)
+        | [] -> ())
+      | Token tk -> (
+        let sx = tk.tk_sx in
+        let stored, local =
+          match tk.tk_serve with
+          | S_delta { sd_news; _ } -> (sd_news, fun id -> sx.sc_sid.(id))
+          | S_cold _ -> (tk.tk_p.p_structure.Structure.nodes, Fun.id)
+        in
+        Array.iter
+          (fun (nd : Node.t) ->
+            List.iter
+              (fun st ->
+                Hashtbl.replace sx.sx_states (st, nd.Node.id)
+                  (value k st (local nd.Node.id)))
+              st_names)
+          stored;
+        match tk.tk_p.p_structure.Structure.roots with
+        | root :: _ ->
+          Option.iter (emit tk.tk_p) (Hashtbl.find_opt sx.sx_states (out, root.Node.id))
+        | [] -> ()))
     w.w_members
 
 (* Play one window, whatever its kind: price it (through the plan cache
