@@ -1414,7 +1414,11 @@ let aggregate_of requests ~num_windows =
    - play: an item becomes one or more windows, and every window — a
      batch of plain requests, one session token, or a pack of session
      tokens — goes through [play_window];
-   - account: the summary, the metrics and the enclosing drain span. *)
+   - account: the summary, the metrics and the enclosing drain span.
+
+   Observability is read-only: every span and metric copies a value the
+   simulation already computed, and the [None] path allocates nothing
+   (the guards keep even the args lists unbuilt). *)
 
 (* The outcome of playing one window through the fault model. *)
 type attempt_outcome =
@@ -1428,13 +1432,8 @@ type attempt_outcome =
     }
   | Lost_window of float  (* the sim instant the window was declared lost *)
 
-(* What one drain carries from admission to the summary.  Observability
-   is read-only: every span and metric copies a value the simulation
-   already computed, and the [None] path allocates nothing (the guards
-   keep even the args lists unbuilt). *)
+(* What one drain carries from admission to the summary. *)
 type drain_state = {
-  d_obs : Obs.t option;
-  d_chaos : bool;  (* a fault spec is installed, even an empty one *)
   d_disp : Dispatch.t;
       (* device clocks are fresh per drain (the simulation's origin is
          the trace's arrival clock); the shape cache persists *)
@@ -1495,9 +1494,9 @@ type window = {
   w_packed : string list;  (* reported members of a pack, in pack order *)
 }
 
-let note_damage d at =
+let note_damage t d at =
   (match d.d_damage_metrics with
-   | None -> d.d_damage_metrics <- Obs.snapshot d.d_obs
+   | None -> d.d_damage_metrics <- Obs.snapshot t.eng_obs
    | Some _ -> ());
   if at < d.d_first_damage then d.d_first_damage <- at
 
@@ -1508,9 +1507,9 @@ let note_damage d at =
    the whole summary — is a pure function of (seed, spec, trace).  The
    measured wall clock would leak nondeterminism into dispatch times and
    flip marginal fault draws between identical runs. *)
-let inspect d f =
+let inspect t f =
   let r, wall = Stats.time_us f in
-  (r, if d.d_chaos then 0.0 else wall)
+  (r, if t.eng_faults <> None then 0.0 else wall)
 
 let device_track i = Printf.sprintf "device %d" i
 
@@ -1569,8 +1568,6 @@ let admit t =
        pendings);
   let d =
     {
-      d_obs = obs;
-      d_chaos = t.eng_faults <> None;
       d_disp = Dispatch.create ~policy:t.eng_dispatch t.eng_devices;
       d_inj =
         Option.map
@@ -1595,7 +1592,7 @@ let admit t =
       d_packed_tokens = 0;
     }
   in
-  if shed > 0 then note_damage d shed_at;
+  if shed > 0 then note_damage t d shed_at;
   (d, policy, pendings)
 
 (* ---- form ---- *)
@@ -1765,7 +1762,7 @@ let form t policy pendings =
    materialized layout through the shape cache onto the survivor — a
    payload re-bind, never a fresh linearization. *)
 let play t d ~sxs ~size ~nodes ~lin_us ~price ready0 =
-  let obs = d.d_obs in
+  let obs = t.eng_obs in
   let disp = d.d_disp in
   let rec attempt n ready =
     mark_dead d ready;
@@ -1904,8 +1901,8 @@ let play t d ~sxs ~size ~nodes ~lin_us ~price ready0 =
   in
   attempt 0 ready0
 
-let record_window d w ~i ~size ~dev ~dispatch ~completion ~report ~attempts =
-  let obs = d.d_obs in
+let record_window t d w ~i ~size ~dev ~dispatch ~completion ~report ~attempts =
+  let obs = t.eng_obs in
   (match obs with
    | None -> ()
    | Some _ ->
@@ -1957,14 +1954,14 @@ let record_request t d ~i ~size ~lin_us ~dev ~dispatch ~completion ~device_us p 
     :: d.d_requests;
   (* A missed deadline hurts the SLO the instant the deadline passes
      without a completion, not when the late answer finally lands. *)
-  if completion > p.p_deadline then note_damage d p.p_deadline
+  if completion > p.p_deadline then note_damage t d p.p_deadline
 
 (* One token's inspector work: restore the session if it was spilled,
    then the delta/cold decision, mutating the session's scratch tables.
    A pack's members are all served, in pack order, before any of them
    plays. *)
-let serve_token t d p =
-  let obs = d.d_obs in
+let serve_token t p =
+  let obs = t.eng_obs in
   let name = Option.get p.p_session in
   let s = p.p_structure in
   let sx = session_of t name in
@@ -2001,7 +1998,7 @@ let serve_token t d p =
      fallback through the cache — under one timer: that is the per-token
      cost BENCH_incremental compares against a cold re-linearization. *)
   let serve, charge =
-    inspect d (fun () ->
+    inspect t (fun () ->
         let compat = Lower.delta_compatible t.eng_compiled.Lower.options in
         let dv = if compat then session_delta_view sx s else None in
         match dv with
@@ -2054,7 +2051,7 @@ let serve_token t d p =
    size, then run the eviction pass — the budget invariant holds after
    every session window, not just at drain end, which is also what makes
    evict/restore churn observable inside a single drain. *)
-let account_session t d tk =
+let account_session t tk =
   let sx = tk.tk_sx in
   (if sx.sx_row_bytes = 0 && t.eng_params <> None then
      match tk.tk_p.p_structure.Structure.roots with
@@ -2069,7 +2066,7 @@ let account_session t d tk =
      | [] -> ());
   Session_store.touch t.eng_store sx.sx_name
     ~bytes:(session_accounted_bytes t sx) ~now_us:t.eng_clock_us;
-  enforce_sessions ?obs:d.d_obs t
+  enforce_sessions ?obs:t.eng_obs t
 
 let token_lin_us tk = tk.tk_charge +. tk.tk_restore_us
 
@@ -2079,10 +2076,10 @@ let span_id (fl : Linearizer.forest) k id = fl.Linearizer.spans.(k).Linearizer.s
 (* A batch of plain requests.  Linearize exactly once and reuse the
    result, timing that one run: a cache hit is a payload re-bind, a miss
    the full inspector pass. *)
-let plain_window t d members =
+let plain_window t members =
   let (fl, hit), lin_us =
-    inspect d (fun () ->
-        Shape_cache.find_or_linearize ?obs:d.d_obs t.eng_cache
+    inspect t (fun () ->
+        Shape_cache.find_or_linearize ?obs:t.eng_obs t.eng_cache
           ~max_children:t.model.Ra.max_children
           (List.map (fun p -> p.p_structure) members))
   in
@@ -2255,7 +2252,7 @@ let play_window t d ~ready w =
   (match play t d ~sxs ~size ~nodes:w.w_nodes ~lin_us:w.w_lin_us ~price ready with
    | Lost_window at ->
      d.d_lost <- d.d_lost + size;
-     note_damage d at;
+     note_damage t d at;
      bump_clock t at
    | Completed { ao_dev = dev; ao_dispatch = dispatch; ao_completion = completion;
                  ao_report = report; ao_attempts = attempts; ao_compiled = compiled } ->
@@ -2265,11 +2262,11 @@ let play_window t d ~ready w =
      if packed then begin
        d.d_packed_windows <- d.d_packed_windows + 1;
        d.d_packed_tokens <- d.d_packed_tokens + size;
-       Obs.incr d.d_obs "sessions.packed_windows";
-       Obs.incr d.d_obs ~by:size "sessions.packed_tokens"
+       Obs.incr t.eng_obs "sessions.packed_windows";
+       Obs.incr t.eng_obs ~by:size "sessions.packed_tokens"
      end;
      let device_us = report.Runtime.latency.Backend.total_us in
-     record_window d w ~i ~size ~dev ~dispatch ~completion ~report ~attempts;
+     record_window t d w ~i ~size ~dev ~dispatch ~completion ~report ~attempts;
      (match t.eng_params with
       | Some params -> execute_window t d w ~compiled ~params
       | None -> ());
@@ -2288,7 +2285,7 @@ let play_window t d ~ready w =
              sx.sx_deadline_misses <- sx.sx_deadline_misses + 1)
        w.w_members);
   List.iter
-    (function Token tk -> account_session t d tk | Plain _ -> ())
+    (function Token tk -> account_session t tk | Plain _ -> ())
     w.w_members
 
 (* Play one formed item at its ready time.  A session item serves every
@@ -2308,9 +2305,9 @@ let play_item t d (ready, members) =
   bump_clock t ready;
   let alone tk = play_window t d ~ready (token_window tk) in
   match members with
-  | { p_session = None; _ } :: _ -> play_window t d ~ready (plain_window t d members)
+  | { p_session = None; _ } :: _ -> play_window t d ~ready (plain_window t members)
   | _ -> (
-    let toks = List.map (serve_token t d) members in
+    let toks = List.map (serve_token t) members in
     let deltas, colds =
       List.partition
         (fun tk -> match tk.tk_serve with S_delta _ -> true | S_cold _ -> false)
@@ -2331,7 +2328,7 @@ let play_item t d (ready, members) =
 (* ---- account ---- *)
 
 let account t d =
-  let obs = d.d_obs in
+  let obs = t.eng_obs in
   (* End-of-drain eviction pass at the drain's high-water simulated
      clock: TTL expiries age out here even when their session saw no
      traffic, and a mid-drain budget change (set_session_budget) takes
@@ -2366,7 +2363,7 @@ let account t d =
   let slo =
     {
       slo_seed = t.eng_seed;
-      slo_chaos = d.d_chaos;
+      slo_chaos = t.eng_faults <> None;
       slo_degraded = d.d_degraded;
       slo_completed = aggregate.num_requests;
       slo_lost = d.d_lost;
