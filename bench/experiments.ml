@@ -385,6 +385,79 @@ let table_linearize () =
   print_endline
     "Note: measured wall-clock of the real linearizer on this machine; the paper's numbers are for their Intel host.\n"
 
+(* ---------- the inspector's charge on the simulated clock ---------- *)
+
+(* [Runtime.simulate] charges linearization through a deterministic
+   model, [Runtime.linearize_charge_us] = fixed + per node + per dynamic
+   batch, so simulated latencies never depend on machine load.  This
+   re-measures [Linearizer.run] over the catalog datasets, prints the
+   charge next to each measurement, and refits the three coefficients
+   by least squares — how the committed constants were obtained. *)
+let inspector_charge () =
+  let samples =
+    List.concat_map
+      (fun name ->
+        let spec = Models.Catalog.get name Models.Catalog.Small in
+        List.map
+          (fun batch ->
+            let s = dataset spec ~batch in
+            let lin = Linearizer.run s in
+            let us = Stats.min_time_us ~repeats:20 (fun () -> Linearizer.run s) in
+            (name, batch, lin, us))
+          [ 1; 2; 5; 10; 20; 40 ])
+      [ "TreeLSTM"; "DAG-RNN"; "TreeFC"; "LSTM" ]
+  in
+  let features (lin : Linearizer.t) =
+    [| 1.0; float_of_int lin.Linearizer.num_nodes;
+       float_of_int (Array.length lin.Linearizer.batches) |]
+  in
+  (* Normal equations (X^T X) c = X^T y, solved by Gaussian elimination. *)
+  let a = Array.make_matrix 3 4 0.0 in
+  List.iter
+    (fun (_, _, lin, us) ->
+      let x = features lin in
+      for i = 0 to 2 do
+        for j = 0 to 2 do
+          a.(i).(j) <- a.(i).(j) +. (x.(i) *. x.(j))
+        done;
+        a.(i).(3) <- a.(i).(3) +. (x.(i) *. us)
+      done)
+    samples;
+  for i = 0 to 2 do
+    for k = i + 1 to 2 do
+      let f = a.(k).(i) /. a.(i).(i) in
+      for j = i to 3 do
+        a.(k).(j) <- a.(k).(j) -. (f *. a.(i).(j))
+      done
+    done
+  done;
+  let c = Array.make 3 0.0 in
+  for i = 2 downto 0 do
+    let r = ref a.(i).(3) in
+    for j = i + 1 to 2 do
+      r := !r -. (a.(i).(j) *. c.(j))
+    done;
+    c.(i) <- !r /. a.(i).(i)
+  done;
+  let header = [ "Model"; "batch"; "nodes"; "batches"; "measured us"; "charged us" ] in
+  let rows =
+    List.map
+      (fun (name, batch, (lin : Linearizer.t), us) ->
+        [
+          name;
+          string_of_int batch;
+          string_of_int lin.Linearizer.num_nodes;
+          string_of_int (Array.length lin.Linearizer.batches);
+          Printf.sprintf "%.2f" us;
+          Printf.sprintf "%.2f" (Runtime.linearize_charge_us lin);
+        ])
+      samples
+  in
+  Table.print ~title:"Inspector charge — Runtime.linearize_charge_us vs measured Linearizer.run"
+    ~header rows;
+  Printf.printf
+    "Refit on this host: %.3f us + %.4f us/node + %.4f us/batch.\n\n" c.(0) c.(1) c.(2)
+
 (* ---------- Fig. 12: peak memory ---------- *)
 
 let fig12 () =
@@ -705,9 +778,9 @@ let bundle () =
         Sys.remove path;
         (* The planner's concrete numbers need UF extents resolved
            against a linearized input (batch sizes, node counts). *)
-        let bound = Lower.bind compiled (Linearizer.run (dataset spec ~batch:10)) in
+        let r = Lower.resolve compiled (Linearizer.run (dataset spec ~batch:10)) in
         let mp =
-          Mem_plan.plan ~uf:bound.Lower.uf_resolver
+          Mem_plan.plan ~uf:r.Lower.res_uf
             ~spaces:[ Ir.Shared; Ir.Register ] compiled.Lower.prog
         in
         let planned = mp.Mem_plan.arena_bytes and worst = mp.Mem_plan.worst_bytes in
@@ -1590,6 +1663,7 @@ let all =
     ("fig10b", fig10b);
     ("fig10c", fig10c);
     ("table_linearize", table_linearize);
+    ("inspector_charge", inspector_charge);
     ("fig12", fig12);
     ("fig14", fig14);
     ("appd", appd);

@@ -22,6 +22,13 @@ let bechamel_tests () =
   let small_structure = small.M.dataset (Rng.create 7) ~batch:2 in
   let small_compiled = Runtime.compile ~options:(Runtime.options_for small) small.M.program in
   let small_params = small.M.init_params (Rng.create 8) in
+  (* One priced serving window at the paper's size: a 5-tree SST forest
+     at h=512, linearized up front; the staged cost walk is built once,
+     as the engine keeps it. *)
+  let large = Models.Catalog.get "TreeLSTM" Models.Catalog.Large in
+  let large_compiled = Runtime.compile ~options:(Runtime.options_for large) large.M.program in
+  let large_lin = Linearizer.run (large.M.dataset (Rng.create 7) ~batch:5) in
+  let large_staged = Cost.stage large_compiled.Lower.prog in
   [
     Test.make ~name:"linearize-treelstm-bs10"
       (Staged.stage (fun () -> ignore (Linearizer.run structure)));
@@ -31,6 +38,13 @@ let bechamel_tests () =
     Test.make ~name:"cost+simulate-treelstm-bs10"
       (Staged.stage (fun () ->
            ignore (Runtime.simulate compiled ~backend:Backend.gpu structure)));
+    Test.make ~name:"price-treelstm-large-bs5"
+      (Staged.stage (fun () ->
+           ignore
+             (Runtime.simulate_lin ~staged:large_staged large_compiled ~backend:Backend.gpu
+                large_lin)));
+    Test.make ~name:"bind-treelstm-large-bs5"
+      (Staged.stage (fun () -> ignore (Lower.bind large_compiled large_lin)));
     Test.make ~name:"interpret-treelstm-h8-bs2"
       (Staged.stage (fun () ->
            ignore (Runtime.execute small_compiled ~params:small_params small_structure)));

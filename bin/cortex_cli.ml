@@ -162,9 +162,11 @@ let simulate_cmd =
     let l = r.Runtime.latency in
     Printf.printf "%s on %s, batch %d (%d nodes): %.3f ms\n" name backend.Backend.short batch
       r.Runtime.num_nodes (Runtime.total_ms r);
-    Printf.printf "  compute %.1f us, barriers %d (%.1f us), launches %d (%.1f us), linearize %.1f us\n"
+    Printf.printf
+      "  compute %.1f us, barriers %d (%.1f us), launches %d (%.1f us), linearize %.1f us \
+       (measured %.1f us on this host)\n"
       l.Backend.compute_us l.Backend.barriers l.Backend.barrier_us l.Backend.kernel_launches
-      l.Backend.launch_us r.Runtime.linearize_us;
+      l.Backend.launch_us r.Runtime.linearize_us r.Runtime.host_linearize_us;
     Printf.printf "  traffic: params %.0f KB, global %.0f KB, on-chip %.0f KB; device memory %.0f KB\n"
       (l.Backend.param_traffic_bytes /. 1024.)
       (l.Backend.global_traffic_bytes /. 1024.)
@@ -336,9 +338,9 @@ let build_cmd =
        constant extents only); the sample linearization's UF resolver
        also gives the concrete planned-vs-worst footprint, recorded as
        extra manifest entries. *)
-    let bound = Lower.bind compiled lin in
+    let r = Lower.resolve compiled lin in
     let mp =
-      Mem_plan.plan ~uf:bound.Lower.uf_resolver
+      Mem_plan.plan ~uf:r.Lower.res_uf
         ~spaces:[ Ir.Shared; Ir.Register ] compiled.Lower.prog
     in
     let b =

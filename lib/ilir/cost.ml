@@ -1,6 +1,5 @@
 open Ir
 module Nonlinear = Cortex_tensor.Nonlinear
-module IntSet = Set.Make (Int)
 
 let bytes_per_elem = 4
 
@@ -30,97 +29,84 @@ type t = {
   onchip_planned_bytes : float;  (* same buffers, liveness-packed (Mem_plan) *)
 }
 
-(* Mutable accumulator for the segment being built. *)
-type acc = {
-  mutable a_flops : float;
-  mutable a_dep : float;
-  a_reads : float array;
-  a_writes : float array;
-  mutable a_lanes : float;
-  mutable a_params : IntSet.t;
-  a_param_raw : (int, float) Hashtbl.t;
-}
-
-let fresh_acc () =
-  {
-    a_flops = 0.0;
-    a_dep = 0.0;
-    a_reads = Array.make 4 0.0;
-    a_writes = Array.make 4 0.0;
-    a_lanes = 1.0;
-    a_params = IntSet.empty;
-    a_param_raw = Hashtbl.create 4;
-  }
-
-let is_empty_acc a =
-  a.a_flops = 0.0
-  && Array.for_all (( = ) 0.0) a.a_reads
-  && Array.for_all (( = ) 0.0) a.a_writes
-
-type state = {
-  uf : Uf.t -> int array -> int;
-  param_sizes : (int, float) Hashtbl.t;  (* tid -> bytes *)
-  mutable current : acc;
-  mutable segs_rev : segment list;
-  mutable barriers : int;
-}
-
-let close_segment st =
-  if not (is_empty_acc st.current) then begin
-    let a = st.current in
-    let footprint =
-      IntSet.fold
-        (fun tid sum -> sum +. (try Hashtbl.find st.param_sizes tid with Not_found -> 0.0))
-        a.a_params 0.0
-    in
-    let param_raw = Hashtbl.fold (fun tid b acc -> (tid, b) :: acc) a.a_param_raw [] in
-    st.segs_rev <-
-      {
-        flops = a.a_flops;
-        dep_flops = a.a_dep;
-        reads = Array.copy a.a_reads;
-        writes = Array.copy a.a_writes;
-        lanes = a.a_lanes;
-        param_footprint = footprint;
-        param_raw;
-      }
-      :: st.segs_rev
-  end;
-  st.current <- fresh_acc ()
-
 (* ---------- integer evaluation of extents and conditions ----------
    Control flow in lowered recursive models never depends on tensor
    data (property P.1), so extents and conditions evaluate with UFs and
-   loop variables alone. *)
+   loop variables alone.  Each expression the walk evaluates is
+   compiled once, at staging, into a closure over the UF resolver and
+   the environment (loop variables and lets, by id, innermost first).
+   Operands evaluate in the order a direct interpreter would, so a
+   failing input raises the same exception at the same point. *)
 
-let rec eval_int st env e =
+type ieval = (Uf.t -> int array -> int) -> (int * int) list -> int
+
+let rec lookup (vid : int) = function
+  | [] -> raise Not_found
+  | (k, v) :: rest -> if k = vid then v else lookup vid rest
+
+let rec compile_int e : ieval =
   match e with
-  | Int n -> n
+  | Int n -> fun _ _ -> n
   | Var v ->
-    (try List.assoc v.Var.vid env
-     with Not_found -> failwith ("Cost.eval_int: unbound " ^ v.Var.vname))
+    let vid = v.Var.vid and name = v.Var.vname in
+    fun _ env ->
+      (try lookup vid env with Not_found -> failwith ("Cost.eval_int: unbound " ^ name))
   | Binop (op, a, b) ->
-    let x = eval_int st env a and y = eval_int st env b in
-    (match op with
-     | Add -> x + y
-     | Sub -> x - y
-     | Mul -> x * y
-     | Div -> x / y
-     | Mod -> x mod y
-     | Min -> min x y
-     | Max -> max x y)
-  | Cmp (op, a, b) ->
-    let x = eval_int st env a and y = eval_int st env b in
-    let r =
-      match op with Lt -> x < y | Le -> x <= y | Gt -> x > y | Ge -> x >= y | Eq -> x = y | Ne -> x <> y
+    let a = compile_int a and b = compile_int b in
+    let f : int -> int -> int =
+      match op with
+      | Add -> ( + )
+      | Sub -> ( - )
+      | Mul -> ( * )
+      | Div -> ( / )
+      | Mod -> ( mod )
+      | Min -> min
+      | Max -> max
     in
-    if r then 1 else 0
-  | And (a, b) -> if eval_int st env a <> 0 && eval_int st env b <> 0 then 1 else 0
-  | Or (a, b) -> if eval_int st env a <> 0 || eval_int st env b <> 0 then 1 else 0
-  | Not a -> if eval_int st env a = 0 then 1 else 0
-  | Select (c, a, b) -> if eval_int st env c <> 0 then eval_int st env a else eval_int st env b
-  | UfCall (u, args) -> st.uf u (Array.of_list (List.map (eval_int st env) args))
-  | Flt _ | Load _ | Math _ -> failwith "Cost.eval_int: data-dependent control flow"
+    fun uf env ->
+      let x = a uf env in
+      let y = b uf env in
+      f x y
+  | Cmp (op, a, b) ->
+    let a = compile_int a and b = compile_int b in
+    let f : int -> int -> bool =
+      match op with
+      | Lt -> ( < )
+      | Le -> ( <= )
+      | Gt -> ( > )
+      | Ge -> ( >= )
+      | Eq -> ( = )
+      | Ne -> ( <> )
+    in
+    fun uf env ->
+      let x = a uf env in
+      let y = b uf env in
+      if f x y then 1 else 0
+  | And (a, b) ->
+    let a = compile_int a and b = compile_int b in
+    fun uf env -> if a uf env <> 0 && b uf env <> 0 then 1 else 0
+  | Or (a, b) ->
+    let a = compile_int a and b = compile_int b in
+    fun uf env -> if a uf env <> 0 || b uf env <> 0 then 1 else 0
+  | Not a ->
+    let a = compile_int a in
+    fun uf env -> if a uf env = 0 then 1 else 0
+  | Select (c, a, b) ->
+    let c = compile_int c and a = compile_int a and b = compile_int b in
+    fun uf env -> if c uf env <> 0 then a uf env else b uf env
+  | UfCall (u, []) -> fun uf _ -> uf u [||]
+  | UfCall (u, [ a ]) ->
+    let a = compile_int a in
+    fun uf env -> uf u [| a uf env |]
+  | UfCall (u, args) ->
+    let args = Array.of_list (List.map compile_int args) in
+    fun uf env -> uf u (Array.map (fun a -> a uf env) args)
+  | Flt _ | Load _ | Math _ ->
+    fun _ _ -> failwith "Cost.eval_int: data-dependent control flow"
+
+(* A let's value, where the walk only needs it for control flow below:
+   data-dependent or unbound expressions bind a dummy 0. *)
+let eval_let (e : ieval) uf env = try e uf env with Failure _ -> 0
 
 (* ---------- float-valuedness (to charge FLOPs only for tensor math) *)
 
@@ -129,44 +115,6 @@ let rec is_float = function
   | Int _ | Var _ | UfCall _ | Cmp _ | And _ | Or _ | Not _ -> false
   | Binop (_, a, b) -> is_float a || is_float b
   | Select (_, a, b) -> is_float a || is_float b
-
-(* ---------- expression cost ---------- *)
-
-let rec count_expr st mult lanes e =
-  match e with
-  | Int _ | Flt _ | Var _ -> ()
-  | Binop (_, a, b) ->
-    if is_float e then st.current.a_flops <- st.current.a_flops +. mult;
-    count_expr st mult lanes a;
-    count_expr st mult lanes b
-  | Cmp (_, a, b) ->
-    if is_float a || is_float b then st.current.a_flops <- st.current.a_flops +. mult;
-    count_expr st mult lanes a;
-    count_expr st mult lanes b
-  | And (a, b) | Or (a, b) ->
-    count_expr st mult lanes a;
-    count_expr st mult lanes b
-  | Not a -> count_expr st mult lanes a
-  | Select (c, a, b) ->
-    if is_float e then st.current.a_flops <- st.current.a_flops +. mult;
-    count_expr st mult lanes c;
-    count_expr st mult lanes a;
-    count_expr st mult lanes b
-  | Load (t, idx) ->
-    let s = Interp.space_index t.space in
-    st.current.a_reads.(s) <-
-      st.current.a_reads.(s) +. (mult *. float_of_int bytes_per_elem);
-    if t.space = Param then begin
-      st.current.a_params <- IntSet.add t.tid st.current.a_params;
-      let prev = try Hashtbl.find st.current.a_param_raw t.tid with Not_found -> 0.0 in
-      Hashtbl.replace st.current.a_param_raw t.tid
-        (prev +. (mult *. float_of_int bytes_per_elem))
-    end;
-    List.iter (count_expr st mult lanes) idx
-  | UfCall (_, args) -> List.iter (count_expr st mult lanes) args
-  | Math (k, a) ->
-    st.current.a_flops <- st.current.a_flops +. (mult *. float_of_int (Nonlinear.flops k));
-    count_expr st mult lanes a
 
 (* A statement can be counted multiplicatively when executing it the
    same number of times with different loop-variable values cannot
@@ -183,106 +131,276 @@ let rec multipliable = function
    block's worth of threads; parallel (node) lanes do not. *)
 let vec_lane_cap = 512.0
 
-(* [ser] tracks whether the *innermost* enclosing loop is Serial: a
-   reduction accumulating into a Register temporary inside such a loop
-   runs on a loop-carried dependency chain (each FMA waits on the
-   previous one), so its FLOPs are additionally recorded as
-   [dep_flops].  The innermost loop is the chain carrier — outer loops
-   re-initialize the accumulator per iteration — so binding just the
-   reduction loop onto lanes (or unrolling it into distinct
-   accumulators) lifts the classification. *)
-let rec count_stmt st env mult (par, vec) ser s =
-  st.current.a_lanes <- Float.max st.current.a_lanes (par *. vec);
-  let lanes = (par, vec) in
+(* ---------- staging: static per-unit counts ----------
+
+   Everything the walk adds for a multipliable run of statements is a
+   fixed per-unit count scaled by the enclosing multiplicity, so it is
+   counted once per program.  Every count is an integer-valued float
+   far below 2^53, so [mult *. (a +. b)] equals [mult *. a +. mult *. b]
+   bit for bit and regrouping the walk's sums is exact. *)
+
+(* Lets (and the dummy 0 bindings of loop variables) a run must still
+   evaluate per execution: a let's value does not change the run's
+   counts, but evaluating it can raise (a UF call out of range, a
+   division by zero), and the walk raises exactly where the unstaged
+   walk did.  Scopes are kept, so each let sees the bindings it saw. *)
+type probe = Probe of int * ieval option * probe list
+
+type counts = {
+  c_flops : float;
+  c_dep : float;  (* dependent FLOPs under a Serial loop inside the run *)
+  c_dep_outer : float;
+      (* Register-store FLOPs outside every loop of the run: dependent
+         iff the run's enclosing loop is Serial *)
+  c_traffic : (int * float) array;
+      (* nonzero bytes: index [s] reads space [s], [4 + s] writes it *)
+  c_param_raw : (int * float) array;  (* Param bytes by slot, first encounter first *)
+  c_lanes : (float * float) array;
+      (* (parallel, vector) lane factors of the run's statements, none
+         dominated by another; the run's own (1, 1) is noted on entry *)
+  c_probes : probe list;
+}
+
+(* Param tids get dense slots, numbered in the order staging meets them. *)
+type slots = { slot_of : (int, int) Hashtbl.t; mutable tids_rev : int list }
+
+type builder = {
+  b_slots : slots;
+  mutable b_flops : float;
+  mutable b_dep : float;
+  mutable b_dep_outer : float;
+  b_reads : float array;
+  b_writes : float array;
+  mutable b_param_raw : (int * float ref) list;  (* by slot, newest first *)
+  mutable b_lanes : (float * float) list;
+}
+
+let builder b_slots =
+  {
+    b_slots;
+    b_flops = 0.0;
+    b_dep = 0.0;
+    b_dep_outer = 0.0;
+    b_reads = Array.make 4 0.0;
+    b_writes = Array.make 4 0.0;
+    b_param_raw = [];
+    b_lanes = [];
+  }
+
+let rec stage_expr b k e =
+  match e with
+  | Int _ | Flt _ | Var _ -> ()
+  | Binop (_, x, y) ->
+    if is_float e then b.b_flops <- b.b_flops +. k;
+    stage_expr b k x;
+    stage_expr b k y
+  | Cmp (_, x, y) ->
+    if is_float x || is_float y then b.b_flops <- b.b_flops +. k;
+    stage_expr b k x;
+    stage_expr b k y
+  | And (x, y) | Or (x, y) ->
+    stage_expr b k x;
+    stage_expr b k y
+  | Not x -> stage_expr b k x
+  | Select (c, x, y) ->
+    if is_float e then b.b_flops <- b.b_flops +. k;
+    stage_expr b k c;
+    stage_expr b k x;
+    stage_expr b k y
+  | Load (t, idx) ->
+    let s = Interp.space_index t.space in
+    let bytes = k *. float_of_int bytes_per_elem in
+    b.b_reads.(s) <- b.b_reads.(s) +. bytes;
+    if t.space = Param then begin
+      let slot =
+        match Hashtbl.find_opt b.b_slots.slot_of t.tid with
+        | Some slot -> slot
+        | None ->
+          let slot = Hashtbl.length b.b_slots.slot_of in
+          Hashtbl.replace b.b_slots.slot_of t.tid slot;
+          b.b_slots.tids_rev <- t.tid :: b.b_slots.tids_rev;
+          slot
+      in
+      match List.assoc_opt slot b.b_param_raw with
+      | Some r -> r := !r +. bytes
+      | None -> b.b_param_raw <- (slot, ref bytes) :: b.b_param_raw
+    end;
+    List.iter (stage_expr b k) idx
+  | UfCall (_, args) -> List.iter (stage_expr b k) args
+  | Math (m, x) ->
+    b.b_flops <- b.b_flops +. (k *. float_of_int (Nonlinear.flops m));
+    stage_expr b k x
+
+(* Only UF calls and integer division can raise anything but the
+   [Failure] a let swallows. *)
+let rec may_raise = function
+  | UfCall _ | Binop ((Div | Mod), _, _) -> true
+  | Int _ | Flt _ | Var _ -> false
+  | Binop (_, x, y) | Cmp (_, x, y) | And (x, y) | Or (x, y) -> may_raise x || may_raise y
+  | Not x | Math (_, x) -> may_raise x
+  | Select (c, x, y) -> may_raise c || may_raise x || may_raise y
+  | Load (_, idx) -> List.exists may_raise idx
+
+(* Stage one multipliable statement executed [k] times per unit, with
+   lane factors [(p, v)] and [inner] the kind of the innermost loop of
+   the run around it ([None] outside all of them).  Returns the probes
+   it needs; subtrees that cannot raise are dropped. *)
+let rec stage_run b k (p, v) inner s =
+  b.b_lanes <- (p, v) :: b.b_lanes;
   match s with
-  | Nop -> ()
-  | Barrier ->
-    close_segment st;
-    st.barriers <- st.barriers + 1
-  | Seq ss -> List.iter (count_stmt st env mult lanes ser) ss
-  | Let (v, e, body) ->
-    (* Bound values are integer node ids; evaluate them when control
-       flow below may need them, otherwise a dummy binding suffices for
-       multiplicative counting. *)
-    let value = try eval_int st env e with Failure _ -> 0 in
-    count_expr st mult lanes e;
-    count_stmt st ((v.Var.vid, value) :: env) mult lanes ser body
+  | Nop -> []
+  | Seq ss -> List.concat_map (stage_run b k (p, v) inner) ss
+  | Let (x, e, body) ->
+    stage_expr b k e;
+    let kids = stage_run b k (p, v) inner body in
+    if kids = [] && not (may_raise e) then []
+    else [ Probe (x.Var.vid, Some (compile_int e), kids) ]
   | Store (t, idx, value) ->
     let sp = Interp.space_index t.space in
-    st.current.a_writes.(sp) <-
-      st.current.a_writes.(sp) +. (mult *. float_of_int bytes_per_elem);
-    List.iter (count_expr st mult lanes) idx;
-    let before = st.current.a_flops in
-    count_expr st mult lanes value;
-    if ser && t.space = Register then
-      st.current.a_dep <- st.current.a_dep +. (st.current.a_flops -. before)
-  | If (c, a, b) ->
-    count_expr st mult lanes c;
-    if eval_int st env c <> 0 then count_stmt st env mult lanes ser a
-    else (match b with Some b -> count_stmt st env mult lanes ser b | None -> ())
-  | For { v; extent; kind; body; _ } ->
-    let n = eval_int st env extent in
-    if n <= 0 then ()
+    b.b_writes.(sp) <- b.b_writes.(sp) +. (k *. float_of_int bytes_per_elem);
+    List.iter (stage_expr b k) idx;
+    let before = b.b_flops in
+    stage_expr b k value;
+    if t.space = Register then begin
+      match inner with
+      | Some Serial -> b.b_dep <- b.b_dep +. (b.b_flops -. before)
+      | None -> b.b_dep_outer <- b.b_dep_outer +. (b.b_flops -. before)
+      | Some (Parallel | Vectorized | Unrolled) -> ()
+    end;
+    []
+  | For { v = x; extent = Int n; kind; body; _ } ->
+    if n <= 0 then []
     else begin
-      let lanes' =
+      let f = float_of_int n in
+      let lanes =
         match kind with
-        | Parallel -> (par *. float_of_int n, vec)
-        | Vectorized -> (par, Float.min vec_lane_cap (vec *. float_of_int n))
-        | Serial | Unrolled -> lanes
+        | Parallel -> (p *. f, v)
+        | Vectorized -> (p, v *. f)
+        | Serial | Unrolled -> (p, v)
       in
-      let ser' = kind = Serial in
-      if multipliable body then
-        count_stmt st ((v.Var.vid, 0) :: env) (mult *. float_of_int n) lanes' ser' body
-      else
-        for i = 0 to n - 1 do
-          count_stmt st ((v.Var.vid, i) :: env) mult lanes' ser' body
-        done
+      match stage_run b (k *. f) lanes (Some kind) body with
+      | [] -> []
+      | kids -> [ Probe (x.Var.vid, None, kids) ]
     end
+  | For _ | If _ | Barrier -> invalid_arg "Cost.stage_run: not multipliable"
 
-let analyze ~uf ~num_internal_batches (p : program) =
-  let param_sizes = Hashtbl.create 8 in
-  let dummy_state =
-    { uf; param_sizes; current = fresh_acc (); segs_rev = []; barriers = 0 }
+let counts_of b probes =
+  let lanes = List.sort_uniq compare b.b_lanes in
+  let dominated (p, v) =
+    List.exists (fun (p', v') -> p' >= p && v' >= v && (p', v') <> (p, v)) lanes
   in
-  let total_params = ref 0.0 in
+  {
+    c_flops = b.b_flops;
+    c_dep = b.b_dep;
+    c_dep_outer = b.b_dep_outer;
+    c_traffic =
+      Array.of_list
+        (List.filter
+           (fun (_, bytes) -> bytes <> 0.0)
+           (List.init 8 (fun i ->
+                (i, if i < 4 then b.b_reads.(i) else b.b_writes.(i - 4)))));
+    c_param_raw = Array.of_list (List.rev_map (fun (tid, r) -> (tid, !r)) b.b_param_raw);
+    c_lanes =
+      Array.of_list (List.filter (fun l -> l <> (1.0, 1.0) && not (dominated l)) lanes);
+    c_probes = probes;
+  }
+
+let expr_counts slots e =
+  let b = builder slots in
+  stage_expr b 1.0 e;
+  counts_of b []
+
+(* The dynamic skeleton left after staging: only what depends on the
+   linearized input — extents, conditions, lets — and the barriers. *)
+type node =
+  | Run of counts  (* a maximal run of multipliable statements *)
+  | Block of node list
+  | Bind of int * ieval * counts * node  (* counts: the bound expression's *)
+  | Branch of ieval * counts * node * node option
+  | Loop of { vid : int; extent : ieval; kind : loop_kind; rolled : bool; body : node }
+      (* [rolled]: the body is one [Run], counted once and scaled by the
+         trip count *)
+  | Sync
+
+let run_of slots ss =
+  let b = builder slots in
+  let probes = List.concat_map (stage_run b 1.0 (1.0, 1.0) None) ss in
+  Run (counts_of b probes)
+
+let rec stage_node slots s =
+  if multipliable s then run_of slots [ s ]
+  else
+    match s with
+    | Barrier -> Sync
+    | Seq ss ->
+      (* Sibling multipliable statements merge into one run. *)
+      let rec group acc run = function
+        | [] -> List.rev (if run = [] then acc else run_of slots (List.rev run) :: acc)
+        | s :: rest when multipliable s -> group acc (s :: run) rest
+        | s :: rest ->
+          let acc = if run = [] then acc else run_of slots (List.rev run) :: acc in
+          group (stage_node slots s :: acc) [] rest
+      in
+      Block (group [] [] ss)
+    | Let (x, e, body) ->
+      Bind (x.Var.vid, compile_int e, expr_counts slots e, stage_node slots body)
+    | If (c, a, b) ->
+      Branch
+        (compile_int c, expr_counts slots c, stage_node slots a, Option.map (stage_node slots) b)
+    | For { v; extent; kind; body; _ } ->
+      Loop
+        {
+          vid = v.Var.vid;
+          extent = compile_int extent;
+          kind;
+          rolled = multipliable body;
+          body = stage_node slots body;
+        }
+    | Store _ | Nop -> assert false
+
+type kstage = { ks_name : string; ks_batch_var : int option; ks_body : node }
+
+type staged = {
+  s_prog : program;
+  s_kernels : kstage list;
+  s_tids : int array;  (* Param tid by slot *)
+  s_onchip_peak : float;
+  s_onchip_planned : (float, exn) result;
+}
+
+(* Bytes per Param tensor, by tid (table and list), and their total. *)
+let param_sizes uf (p : program) =
+  let sizes = Hashtbl.create 8 in
+  let total = ref 0.0 in
   List.iter
     (fun t ->
-      let elems =
-        List.fold_left (fun acc e -> acc * eval_int dummy_state [] e) 1 t.extents
-      in
+      let elems = List.fold_left (fun acc e -> acc * compile_int e uf []) 1 t.extents in
       let bytes = float_of_int (elems * bytes_per_elem) in
-      Hashtbl.replace param_sizes t.tid bytes;
-      total_params := !total_params +. bytes)
+      Hashtbl.replace sizes t.tid bytes;
+      total := !total +. bytes)
     p.params;
-  let kernels =
+  (sizes, Hashtbl.fold (fun tid b acc -> (tid, b) :: acc) sizes [], !total)
+
+let stage (p : program) =
+  let slots = { slot_of = Hashtbl.create 16; tids_rev = [] } in
+  let s_kernels =
     List.map
-      (fun k ->
-        let st = { uf; param_sizes; current = fresh_acc (); segs_rev = []; barriers = 0 } in
-        let launches =
-          match k.launch with
-          | Once ->
-            count_stmt st [] 1.0 (1.0, 1.0) false k.body;
-            close_segment st;
-            1
-          | PerInternalBatch bvar ->
-            for b = 0 to num_internal_batches - 1 do
-              count_stmt st [ (bvar.Var.vid, b) ] 1.0 (1.0, 1.0) false k.body;
-              close_segment st
-            done;
-            num_internal_batches
-        in
-        dummy_state.barriers <- dummy_state.barriers + st.barriers;
-        { kname = k.kname; launches; segments = List.rev st.segs_rev })
+      (fun (k : kernel) ->
+        {
+          ks_name = k.kname;
+          ks_batch_var =
+            (match k.launch with Once -> None | PerInternalBatch b -> Some b.Var.vid);
+          ks_body = stage_node slots k.body;
+        })
       p.kernels
   in
-  let param_sizes = Hashtbl.fold (fun tid b acc -> (tid, b) :: acc) param_sizes [] in
   (* Resident on-chip footprint: constant-extent Shared/Register
      temporaries (staging buffers, caches of fixed shape, accumulators,
      unroll-local state) are live for a whole launch and must fit
      capacity together.  Scratch sized by the linearized input
      (UF-valued extents) is processed in flight — it is priced through
      on-chip bandwidth, not held resident — so it does not count. *)
-  let onchip_peak_bytes =
+  let s_onchip_peak =
     List.fold_left
       (fun acc t ->
         match t.space with
@@ -302,19 +420,215 @@ let analyze ~uf ~num_internal_batches (p : program) =
      never intersect share arena space, so the planned footprint is
      what must actually be resident together.  Always <= the worst
      case above, so switching the capacity check to it only admits
-     schedules. *)
+     schedules.  A planner failure surfaces where the unstaged walk
+     raised it: after the kernels. *)
+  let s_onchip_planned =
+    match Mem_plan.plan ~bytes_per_elem ~spaces:[ Shared; Register ] p with
+    | plan -> Ok (float_of_int plan.Mem_plan.arena_bytes)
+    | exception e -> Error e
+  in
+  {
+    s_prog = p;
+    s_kernels;
+    s_tids = Array.of_list (List.rev slots.tids_rev);
+    s_onchip_peak;
+    s_onchip_planned;
+  }
+
+(* ---------- pricing: the dynamic walk over the skeleton ---------- *)
+
+(* Mutable accumulator for the segment being built. *)
+type acc = {
+  mutable a_flops : float;
+  mutable a_dep : float;
+  a_reads : float array;
+  a_writes : float array;
+  mutable a_lanes : float;
+  a_param_raw : float array;  (* raw Param bytes by slot *)
+  mutable a_touched : int list;  (* slots read so far, newest first *)
+}
+
+let fresh_acc slots =
+  {
+    a_flops = 0.0;
+    a_dep = 0.0;
+    a_reads = Array.make 4 0.0;
+    a_writes = Array.make 4 0.0;
+    a_lanes = 1.0;
+    a_param_raw = Array.make slots 0.0;
+    a_touched = [];
+  }
+
+let is_empty_acc a =
+  a.a_flops = 0.0
+  && Array.for_all (( = ) 0.0) a.a_reads
+  && Array.for_all (( = ) 0.0) a.a_writes
+
+type state = {
+  uf : Uf.t -> int array -> int;
+  tids : int array;  (* Param tid by slot *)
+  param_bytes : (int, float) Hashtbl.t;  (* tid -> bytes *)
+  mutable current : acc;
+  mutable segs_rev : segment list;
+  mutable barriers : int;
+}
+
+let close_segment st =
+  if not (is_empty_acc st.current) then begin
+    let a = st.current in
+    (* The unstaged walk kept raw bytes in a [Hashtbl.create 4] filled
+       in first-encounter order and listed them by folding it; a table
+       built from the same key sequence folds in the same order.  Sizes
+       are integer-valued, so the footprint sums exactly in any order. *)
+    let raw = Hashtbl.create 4 in
+    List.iter
+      (fun slot -> Hashtbl.replace raw st.tids.(slot) a.a_param_raw.(slot))
+      (List.rev a.a_touched);
+    let footprint, param_raw =
+      Hashtbl.fold
+        (fun tid b (sum, raw) ->
+          ( sum +. (try Hashtbl.find st.param_bytes tid with Not_found -> 0.0),
+            (tid, b) :: raw ))
+        raw (0.0, [])
+    in
+    st.segs_rev <-
+      {
+        flops = a.a_flops;
+        dep_flops = a.a_dep;
+        reads = Array.copy a.a_reads;
+        writes = Array.copy a.a_writes;
+        lanes = a.a_lanes;
+        param_footprint = footprint;
+        param_raw;
+      }
+      :: st.segs_rev
+  end;
+  st.current <- fresh_acc (Array.length st.tids)
+
+let rec eval_probe uf env (Probe (vid, e, kids)) =
+  let value = match e with Some e -> eval_let e uf env | None -> 0 in
+  List.iter (eval_probe uf ((vid, value) :: env)) kids
+
+let note_lanes a lanes = a.a_lanes <- Float.max a.a_lanes lanes
+
+(* Add [mult] units of [c] to the open segment. *)
+let add_counts st mult ser c =
+  let a = st.current in
+  a.a_flops <- a.a_flops +. (mult *. c.c_flops);
+  a.a_dep <- a.a_dep +. (mult *. (if ser then c.c_dep +. c.c_dep_outer else c.c_dep));
+  for i = 0 to Array.length c.c_traffic - 1 do
+    let k, bytes = c.c_traffic.(i) in
+    if k < 4 then a.a_reads.(k) <- a.a_reads.(k) +. (mult *. bytes)
+    else a.a_writes.(k - 4) <- a.a_writes.(k - 4) +. (mult *. bytes)
+  done;
+  (* Every addition is at least one element's bytes: 0 means untouched. *)
+  for i = 0 to Array.length c.c_param_raw - 1 do
+    let slot, bytes = c.c_param_raw.(i) in
+    if a.a_param_raw.(slot) = 0.0 then a.a_touched <- slot :: a.a_touched;
+    a.a_param_raw.(slot) <- a.a_param_raw.(slot) +. (mult *. bytes)
+  done
+
+(* [ser] tracks whether the *innermost* enclosing loop is Serial: a
+   reduction accumulating into a Register temporary inside such a loop
+   runs on a loop-carried dependency chain (each FMA waits on the
+   previous one), so its FLOPs are additionally recorded as
+   [dep_flops].  The innermost loop is the chain carrier — outer loops
+   re-initialize the accumulator per iteration — so binding just the
+   reduction loop onto lanes (or unrolling it into distinct
+   accumulators) lifts the classification. *)
+let rec walk st env mult par vec ser node =
+  note_lanes st.current (par *. vec);
+  match node with
+  | Run c ->
+    if c.c_probes <> [] then List.iter (eval_probe st.uf env) c.c_probes;
+    for i = 0 to Array.length c.c_lanes - 1 do
+      let p, v = c.c_lanes.(i) in
+      note_lanes st.current (par *. p *. Float.min vec_lane_cap (vec *. v))
+    done;
+    add_counts st mult ser c
+  | Sync ->
+    close_segment st;
+    st.barriers <- st.barriers + 1
+  | Block ns ->
+    let rec go = function
+      | [] -> ()
+      | n :: rest ->
+        walk st env mult par vec ser n;
+        go rest
+    in
+    go ns
+  | Bind (vid, e, c, body) ->
+    let value = eval_let e st.uf env in
+    add_counts st mult ser c;
+    walk st ((vid, value) :: env) mult par vec ser body
+  | Branch (c, cc, a, b) ->
+    add_counts st mult ser cc;
+    if c st.uf env <> 0 then walk st env mult par vec ser a
+    else (match b with Some b -> walk st env mult par vec ser b | None -> ())
+  | Loop { vid; extent; kind; rolled; body } ->
+    let n = extent st.uf env in
+    if n > 0 then begin
+      let f = float_of_int n in
+      let par, vec =
+        match kind with
+        | Parallel -> (par *. f, vec)
+        | Vectorized -> (par, Float.min vec_lane_cap (vec *. f))
+        | Serial | Unrolled -> (par, vec)
+      in
+      let ser = kind = Serial in
+      if rolled then walk st ((vid, 0) :: env) (mult *. f) par vec ser body
+      else
+        for i = 0 to n - 1 do
+          walk st ((vid, i) :: env) mult par vec ser body
+        done
+    end
+
+let price s ~uf ~num_internal_batches =
+  let param_bytes, param_sizes, param_total_bytes = param_sizes uf s.s_prog in
+  let barriers = ref 0 in
+  let kernels =
+    List.map
+      (fun k ->
+        let st =
+          {
+            uf;
+            tids = s.s_tids;
+            param_bytes;
+            current = fresh_acc (Array.length s.s_tids);
+            segs_rev = [];
+            barriers = 0;
+          }
+        in
+        let launches =
+          match k.ks_batch_var with
+          | None ->
+            walk st [] 1.0 1.0 1.0 false k.ks_body;
+            close_segment st;
+            1
+          | Some bvar ->
+            for b = 0 to num_internal_batches - 1 do
+              walk st [ (bvar, b) ] 1.0 1.0 1.0 false k.ks_body;
+              close_segment st
+            done;
+            num_internal_batches
+        in
+        barriers := !barriers + st.barriers;
+        { kname = k.ks_name; launches; segments = List.rev st.segs_rev })
+      s.s_kernels
+  in
   let onchip_planned_bytes =
-    float_of_int
-      (Mem_plan.plan ~bytes_per_elem ~spaces:[ Shared; Register ] p).Mem_plan.arena_bytes
+    match s.s_onchip_planned with Ok b -> b | Error e -> raise e
   in
   {
     kernels;
-    param_total_bytes = !total_params;
+    param_total_bytes;
     param_sizes;
-    barrier_count = dummy_state.barriers;
-    onchip_peak_bytes;
+    barrier_count = !barriers;
+    onchip_peak_bytes = s.s_onchip_peak;
     onchip_planned_bytes;
   }
+
+let analyze ~uf ~num_internal_batches p = price (stage p) ~uf ~num_internal_batches
 
 let total_flops t =
   List.fold_left

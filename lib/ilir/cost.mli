@@ -60,11 +60,36 @@ type t = {
 val bytes_per_elem : int
 (** 4: the models run in fp32 on the paper's hardware. *)
 
+type staged
+(** A program's cost walk with everything that does not depend on the
+    linearized input done once: each run of multipliable statements
+    (straight-line code under constant-extent loops, merged across
+    siblings) is folded into per-unit counts, and the Param sizes, the
+    on-chip footprint and the {!Mem_plan} arena are computed.  What is
+    left is the skeleton of dynamic extents, conditions, lets and
+    barriers, each expression compiled once into a closure, so a staged
+    form is not marshallable; its owners rebuild it on load. *)
+
+val stage : Ir.program -> staged
+
+val price :
+  staged ->
+  uf:(Ir.Uf.t -> int array -> int) ->
+  num_internal_batches:int ->
+  t
+(** Walk the skeleton against one linearized input.  The result is
+    bitwise the unstaged walk's: every count is an integer-valued float
+    below 2^53, so regrouped sums are exact, and [param_raw] lists tids
+    in the walk's first-encounter order.  Raises wherever the unstaged
+    walk raised, with the same exception. *)
+
 val analyze :
   uf:(Ir.Uf.t -> int array -> int) ->
   num_internal_batches:int ->
   Ir.program ->
   t
+(** [price (stage p)]: for a program priced once.  Callers pricing the
+    same program against many inputs keep the {!staged} form. *)
 
 val total_flops : t -> float
 val global_traffic : t -> float

@@ -1171,6 +1171,12 @@ let apply_plan (plan : Schedule.plan) compiled =
 
 (* ---------- runtime binding ---------- *)
 
+type resolved = {
+  res_bindings : (Ir.Uf.t * (int array -> int)) list;
+  res_uf : Ir.Uf.t -> int array -> int;
+  res_num_batch_launches : int;
+}
+
 type bound = {
   ctx : Interp.context;
   lin : Linearizer.t;
@@ -1178,7 +1184,7 @@ type bound = {
   num_batch_launches : int;
 }
 
-let bind ?(count = false) compiled (lin : Linearizer.t) =
+let resolve compiled (lin : Linearizer.t) =
   let opts = compiled.options in
   let internal = Linearizer.internal_batches lin in
   let internal_postorder =
@@ -1215,46 +1221,68 @@ let bind ?(count = false) compiled (lin : Linearizer.t) =
   let max_batch_len =
     Array.fold_left (fun m (_, len) -> max m len) lin.num_leaves batch_table
   in
-  let ctx = Interp.create ~count ~num_internal_batches:nb () in
   let u = compiled.ufs in
-  let resolver = Hashtbl.create 16 in
-  let bind1 (uf : Ir.Uf.t) f =
-    Hashtbl.replace resolver uf.Ir.Uf.uid f;
-    Interp.bind_uf ctx uf f
+  let bindings =
+    [
+      (u.u_num_nodes, fun _ -> lin.num_nodes);
+      (u.u_num_leaves, fun _ -> lin.num_leaves);
+      (u.u_leaf_begin, fun _ -> lin.leaf_begin);
+      (u.u_num_internal, fun _ -> lin.num_nodes - lin.num_leaves);
+      (u.u_num_batches, fun _ -> nb);
+      (u.u_batch_begin, fun a -> fst batch_table.(a.(0)));
+      (u.u_batch_len, fun a -> snd batch_table.(a.(0)));
+      (u.u_max_batch_len, fun _ -> max_batch_len);
+      (u.u_child, fun a -> lin.child.(a.(0)).(a.(1)));
+      (u.u_num_children, fun a -> lin.num_children.(a.(0)));
+      ( u.u_payload,
+        fun a ->
+          let p = lin.payload.(a.(0)) in
+          if p < 0 then
+            raise (Interp.Runtime_error (Printf.sprintf "node %d has no payload" a.(0)))
+          else p );
+      ( u.u_order,
+        fun a ->
+          if opts.specialize then internal_postorder.(a.(0)) else lin.postorder.(a.(0)) );
+      ( u.u_sched_node,
+        fun a ->
+          match sched_nodes with
+          | Some s -> s.(a.(0))
+          | None -> raise (Interp.Runtime_error "sched_node unbound (no unrolling)") );
+      ( u.u_role,
+        fun a ->
+          match roles with
+          | Some r ->
+            (match r.(a.(0)) with Unrolling.Parent_phase -> 1 | Unrolling.Child_phase -> 0)
+          | None -> 0 );
+      ( u.u_needs_sync,
+        fun a ->
+          match roles with
+          | Some r ->
+            (match r.(a.(0)) with
+             | Unrolling.Child_phase -> 1
+             | Unrolling.Parent_phase -> if opts.block_local_unroll then 0 else 1)
+          | None -> 1 );
+    ]
   in
-  bind1 u.u_num_nodes (fun _ -> lin.num_nodes);
-  bind1 u.u_num_leaves (fun _ -> lin.num_leaves);
-  bind1 u.u_leaf_begin (fun _ -> lin.leaf_begin);
-  bind1 u.u_num_internal (fun _ -> lin.num_nodes - lin.num_leaves);
-  bind1 u.u_num_batches (fun _ -> nb);
-  bind1 u.u_batch_begin (fun a -> fst batch_table.(a.(0)));
-  bind1 u.u_batch_len (fun a -> snd batch_table.(a.(0)));
-  bind1 u.u_max_batch_len (fun _ -> max_batch_len);
-  bind1 u.u_child (fun a -> lin.child.(a.(0)).(a.(1)));
-  bind1 u.u_num_children (fun a -> lin.num_children.(a.(0)));
-  bind1 u.u_payload (fun a ->
-      let p = lin.payload.(a.(0)) in
-      if p < 0 then
-        raise (Interp.Runtime_error (Printf.sprintf "node %d has no payload" a.(0)))
-      else p);
-  bind1 u.u_order (fun a ->
-      if opts.specialize then internal_postorder.(a.(0)) else lin.postorder.(a.(0)));
-  bind1 u.u_sched_node (fun a ->
-      match sched_nodes with
-      | Some s -> s.(a.(0))
-      | None -> raise (Interp.Runtime_error "sched_node unbound (no unrolling)"));
-  bind1 u.u_role (fun a ->
-      match roles with
-      | Some r ->
-        (match r.(a.(0)) with Unrolling.Parent_phase -> 1 | Unrolling.Child_phase -> 0)
-      | None -> 0);
-  bind1 u.u_needs_sync (fun a ->
-      match roles with
-      | Some r ->
-        (match r.(a.(0)) with
-         | Unrolling.Child_phase -> 1
-         | Unrolling.Parent_phase -> if opts.block_local_unroll then 0 else 1)
-      | None -> 1);
+  (* The handles come from one [make_ufs], so their ids span a short
+     range: dispatch by array index rather than hashing. *)
+  let uid (f : Ir.Uf.t) = f.Ir.Uf.uid in
+  let lo = List.fold_left (fun m (f, _) -> min m (uid f)) max_int bindings in
+  let hi = List.fold_left (fun m (f, _) -> max m (uid f)) min_int bindings in
+  let table = Array.make (hi - lo + 1) None in
+  List.iter (fun (f, g) -> table.(uid f - lo) <- Some g) bindings;
+  let res_uf (f : Ir.Uf.t) args =
+    let i = uid f - lo in
+    match if i >= 0 && i <= hi - lo then table.(i) else None with
+    | Some g -> g args
+    | None -> raise (Interp.Runtime_error ("unbound uninterpreted function " ^ f.Ir.Uf.uname))
+  in
+  { res_bindings = bindings; res_uf; res_num_batch_launches = nb }
+
+let bind ?(count = false) compiled (lin : Linearizer.t) =
+  let r = resolve compiled lin in
+  let ctx = Interp.create ~count ~num_internal_batches:r.res_num_batch_launches () in
+  List.iter (fun (f, g) -> Interp.bind_uf ctx f g) r.res_bindings;
   (* Allocate states and wire on-chip mirrors to the same storage. *)
   List.iter
     (fun (_, t) -> ignore (Interp.get_tensor ctx t))
@@ -1262,13 +1290,7 @@ let bind ?(count = false) compiled (lin : Linearizer.t) =
   List.iter
     (fun (glob, mirror) -> Interp.bind_tensor ctx mirror (Interp.get_tensor ctx glob))
     compiled.aliases;
-  let uf_resolver (uf : Ir.Uf.t) args =
-    match Hashtbl.find_opt resolver uf.Ir.Uf.uid with
-    | Some f -> f args
-    | None ->
-      raise (Interp.Runtime_error ("unbound uninterpreted function " ^ uf.Ir.Uf.uname))
-  in
-  { ctx; lin; uf_resolver; num_batch_launches = nb }
+  { ctx; lin; uf_resolver = r.res_uf; num_batch_launches = r.res_num_batch_launches }
 
 let state_value_lin bound compiled st_name lin_id =
   let tensor =

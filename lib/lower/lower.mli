@@ -131,6 +131,24 @@ val apply_plan : Schedule.plan -> compiled -> compiled
     loop is missing/ambiguous or its legality checks fail — the tuner
     treats that as an infeasible candidate. *)
 
+type resolved = {
+  res_bindings : (Ir.Uf.t * (int array -> int)) list;
+      (** each uninterpreted function of [compiled.ufs] with its
+          implementation over the linearized structure *)
+  res_uf : Ir.Uf.t -> int array -> int;
+      (** dispatches over [res_bindings]; raises
+          [Interp.Runtime_error] on a handle not among them *)
+  res_num_batch_launches : int;  (** rows of the batch table *)
+}
+
+val resolve : compiled -> Cortex_linearizer.Linearizer.t -> resolved
+(** The storage-free half of {!bind}: builds the batch table the
+    compiled batch loop iterates over (the unrolled schedule when the
+    compilation unrolled) and resolves every uninterpreted function
+    against it.  Allocates no tensor, so it is what pricing uses
+    ({!Cortex_ilir.Cost.price}, [Runtime.simulate_lin]): the same
+    resolver {!bind} installs, at a fraction of its cost. *)
+
 type bound = {
   ctx : Cortex_ilir.Interp.context;
   lin : Cortex_linearizer.Linearizer.t;
@@ -143,11 +161,10 @@ val bind :
   compiled ->
   Cortex_linearizer.Linearizer.t ->
   bound
-(** Builds an interpreter context with every uninterpreted function
-    bound against the linearized structure (and the unrolled schedule
-    when the compilation unrolled), state tensors allocated, and aliases
-    wired to shared storage.  Parameters still need [Interp.bind_tensor]
-    before running. *)
+(** {!resolve}, then an interpreter context with the resolved
+    functions installed, state tensors allocated, and aliases wired to
+    shared storage — what numeric execution needs.  Parameters still
+    need [Interp.bind_tensor] before running. *)
 
 val state_value :
   bound -> compiled -> string -> Cortex_ds.Node.t -> Cortex_tensor.Tensor.t

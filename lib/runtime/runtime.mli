@@ -66,7 +66,14 @@ val state :
 type report = {
   latency : Cortex_backend.Backend.latency;
   cost : Cost.t;
-  linearize_us : float;  (** measured wall clock of the real linearizer *)
+  linearize_us : float;
+      (** the inspector's charge on the simulated clock: the
+          deterministic model {!linearize_charge_us} in {!simulate},
+          the caller's figure in {!simulate_lin} *)
+  host_linearize_us : float;
+      (** measured wall clock of the real linearizer — a host number,
+          never part of a simulated one; 0 when not measured
+          ({!simulate_lin}) *)
   device_memory_bytes : float;
       (** peak device footprint: parameters + global tensors + the
           linearizer's arrays *)
@@ -80,15 +87,26 @@ type report = {
 val simulate_lin :
   ?lock_free:bool ->
   ?linearize_us:float ->
+  ?staged:Cost.staged ->
   compiled ->
   backend:Cortex_backend.Backend.t ->
   Linearizer.t ->
   report
 (** Statically cost the compiled kernels against an already-linearized
     input and price them on [backend] — the engine-reusable core of
-    {!simulate}.  [linearize_us] (default 0) is recorded verbatim in the
-    report; the serving engine passes the wall clock it measured for the
-    whole forest. *)
+    {!simulate}.  Resolves the input without allocating storage
+    ({!Cortex_lower.Lower.resolve}) and prices it with {!Cost.price}.
+    [staged] is [Cost.stage compiled.prog], built by the caller once
+    for all the inputs it prices against the same artifact; without it
+    the program is staged for this call.  [linearize_us] (default 0)
+    is recorded verbatim in the report; the serving engine passes its
+    window's inspector charge. *)
+
+val linearize_charge_us : Linearizer.t -> float
+(** The inspector's charge on the simulated clock: a fixed cost plus a
+    cost per node and per dynamic batch, calibrated once against the
+    measured [Linearizer.run].  A pure function of the linearization,
+    so simulated latencies never depend on machine load. *)
 
 val simulate :
   ?lock_free:bool ->
@@ -96,16 +114,17 @@ val simulate :
   backend:Cortex_backend.Backend.t ->
   Cortex_ds.Structure.t ->
   report
-(** Linearize (timed), statically cost the compiled kernels against the
-    concrete structure and price them on [backend].  [lock_free]
-    selects the faster global-barrier implementation (default false:
-    the paper's Cortex uses the lock-based one, §7.2).  Thin wrapper
-    around {!simulate_lin}; for streams of requests, use
+(** Linearize (timed, into [host_linearize_us]), statically cost the
+    compiled kernels against the concrete structure and price them on
+    [backend], charging {!linearize_charge_us} as [linearize_us].
+    [lock_free] selects the faster global-barrier implementation
+    (default false: the paper's Cortex uses the lock-based one, §7.2).
+    Thin wrapper around {!simulate_lin}; for streams of requests, use
     [Cortex.Engine]. *)
 
 val total_ms : report -> float
 (** Simulated end-to-end inference latency in milliseconds, including
-    the measured linearization time (§7.5: linearization runs on the
+    the charged linearization time (§7.5: linearization runs on the
     host before any tensor computation). *)
 
 val scale_report : report -> float -> report

@@ -284,12 +284,12 @@ let feasible ~backend ~hidden ~states options (report : Runtime.report) =
 
 let total_us (r : Runtime.report) = r.Runtime.latency.Backend.total_us
 
-let tune_loops ?(budget = 16) ?(linearize_us = 0.0) (compiled : Lower.compiled)
+let tune_loops ?(budget = 16) ?(linearize_us = 0.0) ?staged (compiled : Lower.compiled)
     ~backend lin =
   let hidden = hidden_of_ra compiled.Lower.ra in
   let states = List.length compiled.Lower.ra.Ra.states in
   let options = compiled.Lower.options in
-  let base = Runtime.simulate_lin ~linearize_us compiled ~backend lin in
+  let base = Runtime.simulate_lin ~linearize_us ?staged compiled ~backend lin in
   let prog = compiled.Lower.prog in
   let cap = backend.Backend.onchip_capacity_bytes in
   let base_onchip = base.Runtime.cost.Cost.onchip_peak_bytes in
@@ -339,7 +339,9 @@ let tune2 ?(plan_budget = 16) (spec : M.t) ~backend structure =
   List.iter
     (fun (label, options) ->
       let compiled = Runtime.compile ~options spec.M.program in
-      let base = Runtime.simulate_lin ~linearize_us compiled ~backend lin in
+      (* Staged once: the base prices here and again in [tune_loops]. *)
+      let staged = Cost.stage compiled.Lower.prog in
+      let base = Runtime.simulate_lin ~linearize_us ~staged compiled ~backend lin in
       let base_ok = feasible ~backend ~hidden ~states options base in
       if base_ok then begin
         results :=
@@ -368,7 +370,7 @@ let tune2 ?(plan_budget = 16) (spec : M.t) ~backend structure =
                 :: !results;
               best_us := Float.min !best_us (total_us report)
             end)
-          (tune_loops ~budget:plan_budget ~linearize_us compiled ~backend lin))
+          (tune_loops ~budget:plan_budget ~linearize_us ~staged compiled ~backend lin))
     (candidates spec);
   List.stable_sort
     (fun a b -> Float.compare (total_us a.pc_report) (total_us b.pc_report))

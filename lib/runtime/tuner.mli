@@ -69,6 +69,7 @@ val loop_plans :
 val tune_loops :
   ?budget:int ->
   ?linearize_us:float ->
+  ?staged:Cortex_ilir.Cost.staged ->
   Cortex_lower.Lower.compiled ->
   backend:Cortex_backend.Backend.t ->
   Cortex_linearizer.Linearizer.t ->
@@ -79,7 +80,8 @@ val tune_loops :
     artifact as compiled) is always included and wins ties, so the
     result is never empty — this is what the serving engine's plan
     cache runs on a class miss.  The budget counts candidate plans, not
-    wall time, so tuning is deterministic. *)
+    wall time, so tuning is deterministic.  [staged] is the artifact's
+    staged cost walk, when the caller already has it. *)
 
 type plan_candidate = {
   pc_options : Cortex_lower.Lower.options;

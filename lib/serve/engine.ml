@@ -3,6 +3,7 @@ module Node = Cortex_ds.Node
 module Linearizer = Cortex_linearizer.Linearizer
 module Ra = Cortex_ra.Ra
 module Lower = Cortex_lower.Lower
+module Cost = Cortex_ilir.Cost
 module Backend = Cortex_backend.Backend
 module Runtime = Cortex_runtime.Runtime
 module Checkpoint = Cortex_runtime.Checkpoint
@@ -453,6 +454,7 @@ type t = {
   eng_policy : policy;
   lock_free : bool;
   eng_compiled : Lower.compiled;
+  eng_staged : Cost.staged Lazy.t;  (* staged at the first priced window *)
   eng_dispatch : Dispatch.policy;
   eng_devices : Backend.t list;
   eng_cache : Shape_cache.t;
@@ -512,12 +514,14 @@ let build ~(config : Config.t) ~model ~backend ~compiled =
   (match config.Config.reliability.Config.faults with
    | Some spec -> ignore (Fault.create ~seed ~devices:(List.length devices) spec)
    | None -> ());
+  let compiled = compiled () in
   {
     model;
     eng_backend = backend;
     eng_policy = policy;
     lock_free = config.Config.compile.Config.lock_free;
-    eng_compiled = compiled ();
+    eng_compiled = compiled;
+    eng_staged = lazy (Cost.stage compiled.Lower.prog);
     eng_dispatch = config.Config.dispatch.Config.selection;
     eng_devices = devices;
     eng_cache =
@@ -2235,19 +2239,19 @@ let play_window t d ~ready w =
   in
   let price dev =
     let backend = dev.Dispatch.dev_backend in
-    let compiled =
+    let compiled, staged =
       match (t.eng_plans, w.w_tune) with
       | Some pc, Some packed ->
         let entry, _hit =
           Plan_cache.find_or_tune ?obs:t.eng_obs pc ~packed ~compiled:t.eng_compiled
             ~backend ~lin:w.w_lin ~nodes:w.w_nodes
         in
-        entry.Plan_cache.pe_compiled
-      | _ -> t.eng_compiled
+        (entry.Plan_cache.pe_compiled, entry.Plan_cache.pe_staged)
+      | _ -> (t.eng_compiled, t.eng_staged)
     in
     ( compiled,
-      Runtime.simulate_lin ~lock_free:t.lock_free ~linearize_us:w.w_lin_us compiled
-        ~backend w.w_lin )
+      Runtime.simulate_lin ~lock_free:t.lock_free ~linearize_us:w.w_lin_us
+        ~staged:(Lazy.force staged) compiled ~backend w.w_lin )
   in
   (match play t d ~sxs ~size ~nodes:w.w_nodes ~lin_us:w.w_lin_us ~price ready with
    | Lost_window at ->
@@ -2514,8 +2518,8 @@ let run_one t structure =
   let lin, linearize_us =
     Stats.time_us (fun () -> Linearizer.run ~max_children:mc structure)
   in
-  Runtime.simulate_lin ~lock_free:t.lock_free ~linearize_us t.eng_compiled
-    ~backend:t.eng_backend lin
+  Runtime.simulate_lin ~lock_free:t.lock_free ~linearize_us
+    ~staged:(Lazy.force t.eng_staged) t.eng_compiled ~backend:t.eng_backend lin
 
 (* ---------- numeric execution ---------- *)
 

@@ -26,6 +26,9 @@ type entry = {
           (their level-merged batch tables are shaped differently) *)
   pe_plan : Cortex_ilir.Schedule.plan;  (** winning plan; [[]] = default *)
   pe_compiled : Cortex_lower.Lower.compiled;  (** plan applied *)
+  pe_staged : Cortex_ilir.Cost.staged Lazy.t;
+      (** [pe_compiled]'s cost walk ({!Cortex_ilir.Cost.stage}), staged
+          when the entry first prices a window *)
   pe_default_us : float;  (** simulated latency of the default schedule *)
   pe_tuned_us : float;  (** simulated latency under the winning plan *)
   pe_tune_ms : float;  (** host wall time the search took *)

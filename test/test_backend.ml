@@ -11,9 +11,9 @@ let lin = Linearizer.run structure
 
 let cost_of options =
   let compiled = Runtime.compile ~options:(Runtime.options_for ~base:options spec) spec.M.program in
-  let bound = Lower.bind compiled lin in
-  Cost.analyze ~uf:bound.Lower.uf_resolver
-    ~num_internal_batches:bound.Lower.num_batch_launches compiled.Lower.prog
+  let r = Lower.resolve compiled lin in
+  Cost.analyze ~uf:r.Lower.res_uf ~num_internal_batches:r.Lower.res_num_batch_launches
+    compiled.Lower.prog
 
 let test_persistence_saves_param_traffic () =
   let cost = cost_of Lower.default in

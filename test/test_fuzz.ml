@@ -259,5 +259,41 @@ let fuzz_test =
     QCheck.(int_range 0 1_000_000)
     check_seed
 
+(* The staged cost walk against the frozen unstaged one: the same
+   [Cost.t] bit for bit, or the same exception, on every schedule. *)
+let check_staged_cost seed =
+  let program = random_program seed in
+  let rng = Rng.create (seed + 7919) in
+  let structure = clamp_payloads (random_structure rng program) in
+  let outcome f = match f () with r -> Ok r | exception e -> Error e in
+  List.for_all
+    (fun options ->
+      let compiled = Lower.lower ~options program in
+      let r = Lower.resolve compiled (Linearizer.run structure) in
+      let uf = r.Lower.res_uf and num_internal_batches = r.Lower.res_num_batch_launches in
+      let expected =
+        outcome (fun () ->
+            Cost_reference.analyze ~uf ~num_internal_batches compiled.Lower.prog)
+      in
+      let got =
+        outcome (fun () ->
+            Cortex_ilir.Cost.price (Cortex_ilir.Cost.stage compiled.Lower.prog) ~uf
+              ~num_internal_batches)
+      in
+      expected = got
+      && Marshal.to_string expected [ Marshal.No_sharing ]
+         = Marshal.to_string got [ Marshal.No_sharing ])
+    (schedules program)
+
+let staged_cost_test =
+  QCheck.Test.make ~name:"random programs: staged cost == reference walk" ~count:150
+    QCheck.(int_range 0 1_000_000)
+    check_staged_cost
+
 let () =
-  Alcotest.run "fuzz" [ ("pipeline", [ QCheck_alcotest.to_alcotest fuzz_test ]) ]
+  Alcotest.run "fuzz"
+    [
+      ( "pipeline",
+        [ QCheck_alcotest.to_alcotest fuzz_test; QCheck_alcotest.to_alcotest staged_cost_test ]
+      );
+    ]

@@ -239,9 +239,9 @@ let planned_for name =
   let spec = Models.Catalog.get name Models.Catalog.Small in
   let compiled = Runtime.compile ~options:(Runtime.options_for spec) spec.M.program in
   let structure = spec.M.dataset (Rng.create 3) ~batch:8 in
-  let bound = Lower.bind compiled (Linearizer.run structure) in
+  let r = Lower.resolve compiled (Linearizer.run structure) in
   let static = Mem_plan.plan ~spaces compiled.Lower.prog in
-  let resolved = Mem_plan.plan ~uf:bound.Lower.uf_resolver ~spaces compiled.Lower.prog in
+  let resolved = Mem_plan.plan ~uf:r.Lower.res_uf ~spaces compiled.Lower.prog in
   (static, resolved)
 
 let zoo = [ "TreeFC"; "DAG-RNN"; "TreeGRU"; "TreeLSTM" ]
@@ -283,10 +283,10 @@ let test_cost_records_planned () =
   let spec = Models.Catalog.get "TreeLSTM" Models.Catalog.Small in
   let compiled = Runtime.compile ~options:(Runtime.options_for spec) spec.M.program in
   let structure = spec.M.dataset (Rng.create 3) ~batch:8 in
-  let bound = Lower.bind compiled (Linearizer.run structure) in
+  let r = Lower.resolve compiled (Linearizer.run structure) in
   let cost =
-    Cost.analyze ~uf:bound.Lower.uf_resolver
-      ~num_internal_batches:bound.Lower.num_batch_launches compiled.Lower.prog
+    Cost.analyze ~uf:r.Lower.res_uf ~num_internal_batches:r.Lower.res_num_batch_launches
+      compiled.Lower.prog
   in
   let static = Mem_plan.plan ~spaces compiled.Lower.prog in
   Alcotest.(check (float 1e-9)) "onchip_planned_bytes is the static arena"

@@ -309,10 +309,10 @@ let test_bounds_clean () =
           let compiled = Runtime.compile ~options spec.M.program in
           let structure = spec.M.dataset (Rng.create 14) ~batch:2 in
           let lin = Linearizer.run structure in
-          let bound = Lower.bind compiled lin in
+          let r = Lower.resolve compiled lin in
           let violations =
-            Bounds.check ~uf:bound.Lower.uf_resolver
-              ~num_internal_batches:bound.Lower.num_batch_launches compiled.Lower.prog
+            Bounds.check ~uf:r.Lower.res_uf
+              ~num_internal_batches:r.Lower.res_num_batch_launches compiled.Lower.prog
           in
           (match violations with
            | [] -> ()
