@@ -437,32 +437,30 @@ let stage (p : program) =
 
 (* ---------- pricing: the dynamic walk over the skeleton ---------- *)
 
-(* Mutable accumulator for the segment being built. *)
+(* Mutable accumulator for the segment being built.  The float counters
+   share one array (unboxed stores): bytes read per space at 0-3 and
+   written at 4-7 (the [c_traffic] indices), then FLOPs, dependent FLOPs
+   and the lane maximum. *)
+let flops_i = 8
+let dep_i = 9
+let lanes_i = 10
+
 type acc = {
-  mutable a_flops : float;
-  mutable a_dep : float;
-  a_reads : float array;
-  a_writes : float array;
-  mutable a_lanes : float;
+  a_v : float array;
   a_param_raw : float array;  (* raw Param bytes by slot *)
   mutable a_touched : int list;  (* slots read so far, newest first *)
 }
 
 let fresh_acc slots =
   {
-    a_flops = 0.0;
-    a_dep = 0.0;
-    a_reads = Array.make 4 0.0;
-    a_writes = Array.make 4 0.0;
-    a_lanes = 1.0;
+    a_v = Array.init 11 (fun i -> if i = lanes_i then 1.0 else 0.0);
     a_param_raw = Array.make slots 0.0;
     a_touched = [];
   }
 
 let is_empty_acc a =
-  a.a_flops = 0.0
-  && Array.for_all (( = ) 0.0) a.a_reads
-  && Array.for_all (( = ) 0.0) a.a_writes
+  let rec zero i = i > flops_i || (a.a_v.(i) = 0.0 && zero (i + 1)) in
+  zero 0
 
 type state = {
   uf : Uf.t -> int array -> int;
@@ -493,11 +491,11 @@ let close_segment st =
     in
     st.segs_rev <-
       {
-        flops = a.a_flops;
-        dep_flops = a.a_dep;
-        reads = Array.copy a.a_reads;
-        writes = Array.copy a.a_writes;
-        lanes = a.a_lanes;
+        flops = a.a_v.(flops_i);
+        dep_flops = a.a_v.(dep_i);
+        reads = Array.sub a.a_v 0 4;
+        writes = Array.sub a.a_v 4 4;
+        lanes = a.a_v.(lanes_i);
         param_footprint = footprint;
         param_raw;
       }
@@ -509,17 +507,17 @@ let rec eval_probe uf env (Probe (vid, e, kids)) =
   let value = match e with Some e -> eval_let e uf env | None -> 0 in
   List.iter (eval_probe uf ((vid, value) :: env)) kids
 
-let note_lanes a lanes = a.a_lanes <- Float.max a.a_lanes lanes
+let note_lanes a lanes = a.a_v.(lanes_i) <- Float.max a.a_v.(lanes_i) lanes
 
 (* Add [mult] units of [c] to the open segment. *)
 let add_counts st mult ser c =
   let a = st.current in
-  a.a_flops <- a.a_flops +. (mult *. c.c_flops);
-  a.a_dep <- a.a_dep +. (mult *. (if ser then c.c_dep +. c.c_dep_outer else c.c_dep));
+  a.a_v.(flops_i) <- a.a_v.(flops_i) +. (mult *. c.c_flops);
+  a.a_v.(dep_i) <-
+    a.a_v.(dep_i) +. (mult *. (if ser then c.c_dep +. c.c_dep_outer else c.c_dep));
   for i = 0 to Array.length c.c_traffic - 1 do
     let k, bytes = c.c_traffic.(i) in
-    if k < 4 then a.a_reads.(k) <- a.a_reads.(k) +. (mult *. bytes)
-    else a.a_writes.(k - 4) <- a.a_writes.(k - 4) +. (mult *. bytes)
+    a.a_v.(k) <- a.a_v.(k) +. (mult *. bytes)
   done;
   (* Every addition is at least one element's bytes: 0 means untouched. *)
   for i = 0 to Array.length c.c_param_raw - 1 do
