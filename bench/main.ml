@@ -29,6 +29,9 @@ let bechamel_tests () =
   let large_compiled = Runtime.compile ~options:(Runtime.options_for large) large.M.program in
   let large_lin = Linearizer.run (large.M.dataset (Rng.create 7) ~batch:5) in
   let large_staged = Cost.stage large_compiled.Lower.prog in
+  (* Numeric execution at the paper's width: one Large SST tree. *)
+  let large_structure = large.M.dataset (Rng.create 7) ~batch:1 in
+  let large_params = large.M.init_params (Rng.create 8) in
   [
     Test.make ~name:"linearize-treelstm-bs10"
       (Staged.stage (fun () -> ignore (Linearizer.run structure)));
@@ -48,6 +51,9 @@ let bechamel_tests () =
     Test.make ~name:"interpret-treelstm-h8-bs2"
       (Staged.stage (fun () ->
            ignore (Runtime.execute small_compiled ~params:small_params small_structure)));
+    Test.make ~name:"interpret-treelstm-large-bs1"
+      (Staged.stage (fun () ->
+           ignore (Runtime.execute large_compiled ~params:large_params large_structure)));
   ]
 
 let run_bechamel () =

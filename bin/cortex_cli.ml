@@ -197,7 +197,7 @@ let run_cmd =
       structure.Structure.roots
   in
   Cmd.v
-    (Cmd.info "run" ~doc:"Execute a model numerically (small hidden sizes) and check it against recursion")
+    (Cmd.info "run" ~doc:"Execute a model numerically and check it against recursion")
     Term.(const run $ model_arg $ size_arg $ batch_arg $ seed_arg $ hidden_arg $ options_flags)
 
 let linearize_cmd =

@@ -21,7 +21,13 @@ let options_for ?(base = Lower.default) (spec : M.t) =
 
 type execution = { exec_compiled : compiled; exec_bound : Lower.bound }
 
-let execute_lin ?preload compiled ~params lin =
+let execute_lin ?exec ?preload compiled ~params lin =
+  let exec =
+    match exec with
+    | Some e when Interp.compiled_for e compiled.Lower.prog -> e
+    | Some _ -> invalid_arg "Runtime.execute_lin: executor compiled from another program"
+    | None -> Interp.compile compiled.Lower.prog
+  in
   let bound = Lower.bind compiled lin in
   List.iter
     (fun (name, t) -> Interp.bind_tensor bound.Lower.ctx t (params name))
@@ -30,7 +36,7 @@ let execute_lin ?preload compiled ~params lin =
      (after parameters, before the kernels) so a delta run over a grown
      tail reads the conversation's existing rows instead of zeros. *)
   (match preload with None -> () | Some f -> f bound);
-  Interp.run_program bound.Lower.ctx compiled.Lower.prog;
+  Interp.exec exec bound.Lower.ctx;
   { exec_compiled = compiled; exec_bound = bound }
 
 let execute compiled ~params structure =

@@ -2,8 +2,9 @@
     inputs, execute numerically or cost it on a simulated backend.
 
     This is the layer the examples and the benchmark harness talk to.
-    [execute] runs the compiled kernels through the ILIR interpreter
-    (real numbers, used at small hidden sizes and in every test);
+    [execute] runs the compiled kernels through the ILIR executor
+    ({!Cortex_ilir.Interp}: real numbers, in every test and up to the
+    paper's hidden sizes);
     [simulate] walks the same compiled kernels with the static cost
     analyzer and prices the counts on a backend model (used at the
     paper's hidden sizes). *)
@@ -34,13 +35,19 @@ type execution = {
 }
 
 val execute_lin :
+  ?exec:Interp.executor ->
   ?preload:(Cortex_lower.Lower.bound -> unit) ->
   compiled ->
   params:(string -> Cortex_tensor.Tensor.t) ->
   Linearizer.t ->
   execution
 (** Bind an already-linearized input (a single structure or a serving
-    engine's forest) and run the kernels numerically.  [preload] runs
+    engine's forest) and run the kernels numerically.  [exec] is
+    [Interp.compile compiled.prog], built by the caller once for all the
+    inputs it executes against the same artifact (the serving engine
+    keeps one per artifact); without it the program is compiled for
+    this call.  Raises [Invalid_argument] when [exec] was compiled from
+    another program.  [preload] runs
     after parameter binding and before the kernels — the serving
     engine's sessions use it ({!Cortex_lower.Lower.set_state_lin}) to
     seed a conversation's persistent hidden states into the context so

@@ -330,7 +330,10 @@ let pc_full_label c =
 let tune2 ?(plan_budget = 16) (spec : M.t) ~backend structure =
   let hidden = hidden_of_ra spec.M.program in
   let states = List.length spec.M.program.Ra.states in
-  let lin, linearize_us = Stats.time_us (fun () -> Linearizer.run structure) in
+  (* Every candidate is charged the deterministic inspector model; the
+     one measured linearization is a host number, recorded beside it. *)
+  let lin, host_us = Stats.time_us (fun () -> Linearizer.run structure) in
+  let linearize_us = Runtime.linearize_charge_us lin in
   let eff =
     Float.max backend.Backend.roofline_efficiency backend.Backend.gemm_efficiency
   in
@@ -372,9 +375,10 @@ let tune2 ?(plan_budget = 16) (spec : M.t) ~backend structure =
             end)
           (tune_loops ~budget:plan_budget ~linearize_us ~staged compiled ~backend lin))
     (candidates spec);
-  List.stable_sort
-    (fun a b -> Float.compare (total_us a.pc_report) (total_us b.pc_report))
-    (List.rev !results)
+  List.rev_map
+    (fun c -> { c with pc_report = { c.pc_report with Runtime.host_linearize_us = host_us } })
+    !results
+  |> List.stable_sort (fun a b -> Float.compare (total_us a.pc_report) (total_us b.pc_report))
 
 let best2 ?plan_budget spec ~backend structure =
   match tune2 ?plan_budget spec ~backend structure with

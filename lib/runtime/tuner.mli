@@ -102,7 +102,9 @@ val tune2 :
 (** Two-level search: every structurally valid options point crossed
     with up to [plan_budget] loop plans, pruned by the App. D register
     check, the on-chip capacity check and the roofline bound; all
-    feasible candidates ranked fastest first. *)
+    feasible candidates ranked fastest first (by device time).  Every
+    report charges {!Runtime.linearize_charge_us} as [linearize_us] and
+    carries the one measured linearization in [host_linearize_us]. *)
 
 val best2 :
   ?plan_budget:int ->

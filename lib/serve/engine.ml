@@ -4,6 +4,7 @@ module Linearizer = Cortex_linearizer.Linearizer
 module Ra = Cortex_ra.Ra
 module Lower = Cortex_lower.Lower
 module Cost = Cortex_ilir.Cost
+module Interp = Cortex_ilir.Interp
 module Backend = Cortex_backend.Backend
 module Runtime = Cortex_runtime.Runtime
 module Checkpoint = Cortex_runtime.Checkpoint
@@ -455,6 +456,7 @@ type t = {
   lock_free : bool;
   eng_compiled : Lower.compiled;
   eng_staged : Cost.staged Lazy.t;  (* staged at the first priced window *)
+  eng_exec : Interp.executor Lazy.t;  (* compiled at the first numeric window *)
   eng_dispatch : Dispatch.policy;
   eng_devices : Backend.t list;
   eng_cache : Shape_cache.t;
@@ -522,6 +524,7 @@ let build ~(config : Config.t) ~model ~backend ~compiled =
     lock_free = config.Config.compile.Config.lock_free;
     eng_compiled = compiled;
     eng_staged = lazy (Cost.stage compiled.Lower.prog);
+    eng_exec = lazy (Interp.compile compiled.Lower.prog);
     eng_dispatch = config.Config.dispatch.Config.selection;
     eng_devices = devices;
     eng_cache =
@@ -1302,8 +1305,17 @@ let sessions t =
 
 let session_state t name st (node : Node.t) =
   match Hashtbl.find_opt t.eng_sessions name with
-  | None -> None
   | Some sx -> Hashtbl.find_opt sx.sx_states (st, node.Node.id)
+  | None -> (
+    (* An evicted session's rows live in its spill record: read them
+       from there, leaving the spill held and the session evicted. *)
+    match Session_store.peek t.eng_store name with
+    | None -> None
+    | Some data -> (
+      match Checkpoint.session_of_string ~expect_model:t.model.Ra.name data with
+      | ss ->
+        List.assoc_opt (Printf.sprintf "%s@%d" st node.Node.id) ss.Checkpoint.ss_states
+      | exception Checkpoint.Corrupt _ -> None))
 
 let close_session t name =
   (* Free the shape-cache entries the session's materializations
@@ -1432,7 +1444,8 @@ type attempt_outcome =
       ao_completion : float;
       ao_report : Runtime.report;
       ao_attempts : int;
-      ao_compiled : Lower.compiled;  (* what actually ran (tuned or not) *)
+      ao_compiled : Lower.compiled * Interp.executor Lazy.t;
+          (* what actually ran (tuned or not), and its executor *)
     }
   | Lost_window of float  (* the sim instant the window was declared lost *)
 
@@ -2165,7 +2178,7 @@ let pack_window pk toks =
    and failovers re-dispatch the same linearization, so the numbers
    cannot depend on the fault history, and a delta or packed run is
    bitwise identical to re-running each whole conversation cold. *)
-let execute_window t d w ~compiled ~params =
+let execute_window t d w ~compiled ~exec ~params =
   let st_names = List.map fst t.eng_compiled.Lower.state_tensors in
   let preload bound =
     List.iteri
@@ -2194,7 +2207,7 @@ let execute_window t d w ~compiled ~params =
         | Token { tk_serve = S_cold _; _ } | Plain _ -> ())
       w.w_members
   in
-  let ex = Runtime.execute_lin ~preload compiled ~params w.w_lin in
+  let ex = Runtime.execute_lin ~exec:(Lazy.force exec) ~preload compiled ~params w.w_lin in
   let value k st id =
     Lower.state_value_lin ex.Runtime.exec_bound ex.Runtime.exec_compiled st (w.w_id k id)
   in
@@ -2239,17 +2252,17 @@ let play_window t d ~ready w =
   in
   let price dev =
     let backend = dev.Dispatch.dev_backend in
-    let compiled, staged =
+    let compiled, staged, exec =
       match (t.eng_plans, w.w_tune) with
       | Some pc, Some packed ->
         let entry, _hit =
           Plan_cache.find_or_tune ?obs:t.eng_obs pc ~packed ~compiled:t.eng_compiled
             ~backend ~lin:w.w_lin ~nodes:w.w_nodes
         in
-        (entry.Plan_cache.pe_compiled, entry.Plan_cache.pe_staged)
-      | _ -> (t.eng_compiled, t.eng_staged)
+        (entry.Plan_cache.pe_compiled, entry.Plan_cache.pe_staged, entry.Plan_cache.pe_exec)
+      | _ -> (t.eng_compiled, t.eng_staged, t.eng_exec)
     in
-    ( compiled,
+    ( (compiled, exec),
       Runtime.simulate_lin ~lock_free:t.lock_free ~linearize_us:w.w_lin_us
         ~staged:(Lazy.force staged) compiled ~backend w.w_lin )
   in
@@ -2259,7 +2272,7 @@ let play_window t d ~ready w =
      note_damage t d at;
      bump_clock t at
    | Completed { ao_dev = dev; ao_dispatch = dispatch; ao_completion = completion;
-                 ao_report = report; ao_attempts = attempts; ao_compiled = compiled } ->
+                 ao_report = report; ao_attempts = attempts; ao_compiled = (compiled, exec) } ->
      let i = d.d_windex in
      d.d_windex <- i + 1;
      let packed = w.w_packed <> [] in
@@ -2272,7 +2285,7 @@ let play_window t d ~ready w =
      let device_us = report.Runtime.latency.Backend.total_us in
      record_window t d w ~i ~size ~dev ~dispatch ~completion ~report ~attempts;
      (match t.eng_params with
-      | Some params -> execute_window t d w ~compiled ~params
+      | Some params -> execute_window t d w ~compiled ~exec ~params
       | None -> ());
      List.iter
        (fun m ->
@@ -2537,7 +2550,10 @@ let execute t ~params structures =
            ~max_children:t.model.Ra.max_children structures)
     with Linearizer.Rejected r -> raise (Error (Rejected r))
   in
-  let ex = Runtime.execute_lin t.eng_compiled ~params forest.Linearizer.lin in
+  let ex =
+    Runtime.execute_lin ~exec:(Lazy.force t.eng_exec) t.eng_compiled ~params
+      forest.Linearizer.lin
+  in
   { ex_forest = forest; ex_exec = ex }
 
 let execute_one t ~params structure = execute t ~params [ structure ]

@@ -548,8 +548,12 @@ val session_state :
   t -> string -> string -> Cortex_ds.Node.t -> Cortex_tensor.Tensor.t option
 (** [session_state t name st node] reads a node's persisted row of
     state [st] from session [name]'s on-device store (by the node's
-    identity in the conversation) — [None] when the session, node or
-    state is unknown, or the engine serves without [params]. *)
+    identity in the conversation).  For a session evicted with a spill
+    (over budget or idle past the TTL) the row is read from the spill
+    record — read-only: the session stays evicted, its spill stays
+    held, and no restore is counted or priced.  [None] when the
+    session, node or state is unknown, or the engine serves without
+    [params]. *)
 
 val close_session : t -> string -> unit
 (** Drop a session for good: its layout pin and persisted states are

@@ -7,6 +7,7 @@ module Schedule = Cortex_ilir.Schedule
 module Stats = Cortex_util.Stats
 module Obs = Cortex_obs.Obs
 module Cost = Cortex_ilir.Cost
+module Interp = Cortex_ilir.Interp
 
 (* A per-shape-class cache of tuned loop-schedule plans.
 
@@ -30,6 +31,7 @@ type entry = {
   pe_plan : Schedule.plan;
   pe_compiled : Lower.compiled;  (* the plan applied to the engine's artifact *)
   pe_staged : Cost.staged Lazy.t;  (* [pe_compiled]'s cost walk, staged at first price *)
+  pe_exec : Interp.executor Lazy.t;  (* [pe_compiled]'s executor, compiled at first execution *)
   pe_default_us : float;
   pe_tuned_us : float;
   pe_tune_ms : float;  (* host wall time of the search *)
@@ -91,6 +93,7 @@ let find_or_tune ?obs ?(packed = false) t ~(compiled : Lower.compiled)
         pe_plan = best_plan;
         pe_compiled = applied;
         pe_staged = lazy (Cost.stage applied.Lower.prog);
+        pe_exec = lazy (Interp.compile applied.Lower.prog);
         pe_default_us =
           default_report.Runtime.latency.Backend.total_us;
         pe_tuned_us = best_report.Runtime.latency.Backend.total_us;
@@ -120,6 +123,7 @@ let preload t ~(backend_short : string) ~bucket ~plan ~(compiled : Lower.compile
       pe_plan = plan;
       pe_compiled = applied;
       pe_staged = lazy (Cost.stage applied.Lower.prog);
+      pe_exec = lazy (Interp.compile applied.Lower.prog);
       pe_default_us = default_us;
       pe_tuned_us = tuned_us;
       pe_tune_ms = 0.0;

@@ -29,6 +29,9 @@ type entry = {
   pe_staged : Cortex_ilir.Cost.staged Lazy.t;
       (** [pe_compiled]'s cost walk ({!Cortex_ilir.Cost.stage}), staged
           when the entry first prices a window *)
+  pe_exec : Cortex_ilir.Interp.executor Lazy.t;
+      (** [pe_compiled]'s executor ({!Cortex_ilir.Interp.compile}),
+          compiled when the entry first executes a window numerically *)
   pe_default_us : float;  (** simulated latency of the default schedule *)
   pe_tuned_us : float;  (** simulated latency under the winning plan *)
   pe_tune_ms : float;  (** host wall time the search took *)

@@ -216,8 +216,21 @@ let has_spill t name =
   Hashtbl.mem t.spilled name
   || match spill_path t name with Some p -> Sys.file_exists p | None -> false
 
+let peek t name =
+  match Hashtbl.find_opt t.spilled name with
+  | Some { sp_data = Some data; _ } -> Some data
+  | Some { sp_data = None; _ } | None -> (
+    (* File-backed, or a fresh store finding its predecessor's files
+       after an engine restart. *)
+    match spill_path t name with
+    | Some p when Sys.file_exists p -> (
+      match read_file p with data -> Some data | exception Sys_error _ -> None)
+    | _ -> None)
+
 let restore t name =
-  let finish data =
+  match peek t name with
+  | None -> None
+  | Some data ->
     Hashtbl.remove t.spilled name;
     (match spill_path t name with
     | Some p when Sys.file_exists p -> Sys.remove p
@@ -227,16 +240,6 @@ let restore t name =
     let cost = restore_cost_us ~bytes:(String.length data) in
     t.restore_us <- t.restore_us +. cost;
     Some (data, cost)
-  in
-  match Hashtbl.find_opt t.spilled name with
-  | Some { sp_data = Some data; _ } -> finish data
-  | Some { sp_data = None; _ } | None -> (
-    (* File-backed, or a fresh store finding its predecessor's files
-       after an engine restart. *)
-    match spill_path t name with
-    | Some p when Sys.file_exists p -> (
-      match read_file p with data -> finish data | exception Sys_error _ -> None)
-    | _ -> None)
 
 let forget t name =
   drop_live t name;

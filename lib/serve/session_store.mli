@@ -112,6 +112,11 @@ val has_spill : t -> string -> bool
 (** A spill is held for [name] — in memory or on disk (a fresh engine
     finds the files its predecessor wrote). *)
 
+val peek : t -> string -> string option
+(** The bytes of the spill held for [name], read without consuming it:
+    the record, the file and every counter stay as they were.  [None]
+    when nothing is held (or the file cannot be read). *)
+
 val restore : t -> string -> (string * float) option
 (** Consume the spill held for [name]: the serialized bytes and the
     priced restore cost in microseconds.  Removes the record (and the

@@ -290,10 +290,40 @@ let staged_cost_test =
     QCheck.(int_range 0 1_000_000)
     check_staged_cost
 
+(* The closure-compiled executor against the frozen tree walker: every
+   state tensor bit for bit and the same counts, or the same exception,
+   on every schedule. *)
+let check_executor seed =
+  let program = random_program seed in
+  let rng = Rng.create (seed + 7919) in
+  let structure = clamp_payloads (random_structure rng program) in
+  let params_table =
+    List.map
+      (fun (name, dims) ->
+        (name, Tensor.rand_uniform rng (Array.of_list dims) ~lo:(-0.4) ~hi:0.4))
+      program.Ra.params
+  in
+  let params name = List.assoc name params_table in
+  List.for_all
+    (fun options ->
+      let compiled = Lower.lower ~options program in
+      match Exec_diff.check compiled (Linearizer.run structure) ~params with
+      | None -> true
+      | Some diff -> QCheck.Test.fail_report diff)
+    (schedules program)
+
+let executor_test =
+  QCheck.Test.make ~name:"random programs: executor == reference walker" ~count:150
+    QCheck.(int_range 0 1_000_000)
+    check_executor
+
 let () =
   Alcotest.run "fuzz"
     [
       ( "pipeline",
-        [ QCheck_alcotest.to_alcotest fuzz_test; QCheck_alcotest.to_alcotest staged_cost_test ]
-      );
+        [
+          QCheck_alcotest.to_alcotest fuzz_test;
+          QCheck_alcotest.to_alcotest staged_cost_test;
+          QCheck_alcotest.to_alcotest executor_test;
+        ] );
     ]

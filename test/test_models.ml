@@ -210,6 +210,33 @@ let test_compiled_agreement (case : case) () =
         (Printf.sprintf "%s/%s" case.label olabel))
     (options_for case)
 
+(* The paper's width: Large TreeLSTM and TreeGRU (h=512) executed on
+   one small SST tree, every root checked against the hand-written
+   reference.  A small vocabulary keeps the embedding table small; the
+   recurrent weights are the Large model's. *)
+let test_paper_size name () =
+  let hidden = Cortex_models.Catalog.hidden_of name Cortex_models.Catalog.Large in
+  let spec, reference =
+    match name with
+    | "TreeLSTM" ->
+      ( Cortex_models.Tree_lstm.spec ~vocab ~hidden (),
+        fun params s n -> fst (Reference.tree_lstm ~params ~hidden ~with_x:true s n) )
+    | _ ->
+      ( Cortex_models.Tree_gru.spec ~vocab ~hidden (),
+        fun params s n -> Reference.tree_gru ~params ~hidden ~with_x:true ~simple:false s n )
+  in
+  let rng = Rng.create 512 in
+  let structure = Gen.sst_tree rng ~vocab ~len:6 () in
+  let params = spec.M.init_params (Rng.split rng) in
+  let state = run_compiled ~options:Lower.default spec params structure in
+  List.iter
+    (fun root ->
+      let want = reference params structure root and got = state "h" root in
+      if not (Tensor.approx_equal ~tol:1e-9 want got) then
+        Alcotest.failf "%s h=%d: root %d differs from the reference (max %g)" name hidden
+          root.Node.id (Tensor.max_abs_diff want got))
+    structure.Structure.roots
+
 let () =
   Alcotest.run "models"
     [
@@ -223,4 +250,8 @@ let () =
           (fun case ->
             Alcotest.test_case case.label `Quick (test_compiled_agreement case))
           cases );
+      ( "paper-size",
+        List.map
+          (fun name -> Alcotest.test_case name `Quick (test_paper_size name))
+          [ "TreeLSTM"; "TreeGRU" ] );
     ]

@@ -165,6 +165,26 @@ let test_tune_loops () =
   in
   Alcotest.(check bool) "winner <= default" true (us (List.hd ranked) <= default_us)
 
+(* tune2 charges every candidate the deterministic inspector model, so
+   two searches over the same input report the same simulated numbers;
+   the measured linearization is only a host figure. *)
+let test_tune2_charge () =
+  let spec = Models.Tree_lstm.spec ~vocab:50 ~hidden:8 () in
+  let structure = spec.M.dataset (Rng.create 7) ~batch:4 in
+  let charge = Runtime.linearize_charge_us (Linearizer.run structure) in
+  let search () = Tuner.tune2 ~plan_budget:4 spec ~backend:gpu structure in
+  let a = search () and b = search () in
+  Alcotest.(check bool) "non-empty" true (a <> []);
+  let host = (List.hd a).Tuner.pc_report.Runtime.host_linearize_us in
+  List.iter
+    (fun c ->
+      let r = c.Tuner.pc_report in
+      Alcotest.(check (float 0.0)) (Tuner.pc_full_label c) charge r.Runtime.linearize_us;
+      Alcotest.(check (float 0.0)) "one measured linearization" host r.Runtime.host_linearize_us)
+    a;
+  let sim c = (Tuner.pc_full_label c, c.Tuner.pc_report.Runtime.latency, c.Tuner.pc_report.Runtime.linearize_us) in
+  Alcotest.(check bool) "same simulated reports" true (List.map sim a = List.map sim b)
+
 (* ---------- plan cache: hits, determinism ---------- *)
 
 let test_plan_cache () =
@@ -295,7 +315,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_tuner_lattice_preserves_semantics;
         ] );
       ( "canonical-names", [ Alcotest.test_case "unique-stable" `Quick test_canonical_names ] );
-      ( "tuner", [ Alcotest.test_case "tune-loops" `Quick test_tune_loops ] );
+      ( "tuner",
+        [
+          Alcotest.test_case "tune-loops" `Quick test_tune_loops;
+          Alcotest.test_case "tune2-charge" `Quick test_tune2_charge;
+        ] );
       ( "plan-cache",
         [
           Alcotest.test_case "hits-determinism" `Quick test_plan_cache;

@@ -650,101 +650,130 @@ let lifecycle_ops_arb =
     ~print:(fun ops -> String.concat "; " (List.map print_op ops))
     (list_size (5 -- 25) op)
 
+let check_lifecycle ops =
+  let spec = Models.Tree_lstm.spec ~vocab:15 ~hidden:3 () in
+  let params = spec.M.init_params (Rng.create 1) in
+  let tokens = 10 in
+  let names = [| "s0"; "s1"; "s2" |] in
+  let convs =
+    Array.init 3 (fun i ->
+        conversation (300 + i) ~vocab:15 ~kind:Structure.Tree ~tokens)
+  in
+  let run () =
+    (* Chaos mode (empty fault spec): every drain below is a pure
+       function of the trace, which is what makes (d) a byte
+       equality. The TTL adds background expiry churn on top of
+       the explicit ops. *)
+    let eng =
+      engine_bounded spec ~faults:[] ~seed:5 ~session_ttl_us:12000.0 params
+    in
+    let next = Array.make 3 0 in
+    let step = ref 0 in
+    let log = Buffer.create 256 in
+    let observe () =
+      let st = Engine.session_table_stats eng in
+      (* (b): the budget invariant holds after every drain. *)
+      (match st.Session_store.st_budget_bytes with
+       | Some budget ->
+         if st.Session_store.st_bytes > budget then
+           Q.Test.fail_reportf "accounted %d bytes over budget %d"
+             st.Session_store.st_bytes budget
+       | None -> ());
+      (* (c): live + spilled is exactly the set that ever grew. *)
+      let started =
+        Array.fold_left (fun acc n -> if n > 0 then acc + 1 else acc) 0 next
+      in
+      if st.Session_store.st_live + st.Session_store.st_spilled <> started
+      then
+        Q.Test.fail_reportf "%d live + %d spilled <> %d started"
+          st.Session_store.st_live st.Session_store.st_spilled started;
+      if List.length (Engine.sessions eng) <> st.Session_store.st_live then
+        Q.Test.fail_report "live reports disagree with the table";
+      Buffer.add_string log
+        (Printf.sprintf "%d:%d:%d:%d:%d;" st.Session_store.st_live
+           st.Session_store.st_spilled st.Session_store.st_bytes
+           st.Session_store.st_evictions st.Session_store.st_restores)
+    in
+    let grow i =
+      if next.(i) <= tokens then begin
+        incr step;
+        let s = List.nth convs.(i) next.(i) in
+        next.(i) <- next.(i) + 1;
+        ignore
+          (Engine.submit_exn eng
+             ~arrival_us:(900.0 *. float_of_int !step)
+             ~session:names.(i) s);
+        ignore (Engine.drain eng)
+      end
+    in
+    List.iter
+      (fun op ->
+        (match op with
+         | Grow i -> grow i
+         | Evict_now i -> ignore (Engine.evict_session eng names.(i))
+         | Budget b ->
+           Engine.set_session_budget eng b;
+           (* An empty drain runs the eviction pass, so a shrink
+              takes effect immediately. *)
+           ignore (Engine.drain eng));
+        observe ())
+      ops;
+    (* Unbind the budget and finish every conversation, round-robin
+       so no session idles past the TTL while the others fill. *)
+    Engine.set_session_budget eng None;
+    let remaining () = Array.exists (fun n -> n <= tokens) next in
+    while remaining () do
+      Array.iteri (fun i _ -> grow i) names
+    done;
+    (eng, Buffer.contents log)
+  in
+  let eng, log1 = run () in
+  (* (a): evict/restore churn included, the end state is bitwise a
+     never-evicted cold execution of each full conversation. *)
+  let compiled =
+    Runtime.compile ~options:(Runtime.options_for spec) spec.M.program
+  in
+  Array.iteri
+    (fun i name ->
+      check_states_bitwise spec eng ~session:name compiled params
+        (List.nth convs.(i) tokens))
+    names;
+  (* (d): the whole lifecycle replays byte-identically. *)
+  let _, log2 = run () in
+  if log1 <> log2 then
+    Q.Test.fail_report "lifecycle trace not reproducible under its seed";
+  true
+
 let prop_session_lifecycle =
   Q.Test.make ~count:12 ~name:"session lifecycle invariants" lifecycle_ops_arb
-    (fun ops ->
-      let spec = Models.Tree_lstm.spec ~vocab:15 ~hidden:3 () in
-      let params = spec.M.init_params (Rng.create 1) in
-      let tokens = 10 in
-      let names = [| "s0"; "s1"; "s2" |] in
-      let convs =
-        Array.init 3 (fun i ->
-            conversation (300 + i) ~vocab:15 ~kind:Structure.Tree ~tokens)
-      in
-      let run () =
-        (* Chaos mode (empty fault spec): every drain below is a pure
-           function of the trace, which is what makes (d) a byte
-           equality. The TTL adds background expiry churn on top of
-           the explicit ops. *)
-        let eng =
-          engine_bounded spec ~faults:[] ~seed:5 ~session_ttl_us:12000.0 params
-        in
-        let next = Array.make 3 0 in
-        let step = ref 0 in
-        let log = Buffer.create 256 in
-        let observe () =
-          let st = Engine.session_table_stats eng in
-          (* (b): the budget invariant holds after every drain. *)
-          (match st.Session_store.st_budget_bytes with
-           | Some budget ->
-             if st.Session_store.st_bytes > budget then
-               Q.Test.fail_reportf "accounted %d bytes over budget %d"
-                 st.Session_store.st_bytes budget
-           | None -> ());
-          (* (c): live + spilled is exactly the set that ever grew. *)
-          let started =
-            Array.fold_left (fun acc n -> if n > 0 then acc + 1 else acc) 0 next
-          in
-          if st.Session_store.st_live + st.Session_store.st_spilled <> started
-          then
-            Q.Test.fail_reportf "%d live + %d spilled <> %d started"
-              st.Session_store.st_live st.Session_store.st_spilled started;
-          if List.length (Engine.sessions eng) <> st.Session_store.st_live then
-            Q.Test.fail_report "live reports disagree with the table";
-          Buffer.add_string log
-            (Printf.sprintf "%d:%d:%d:%d:%d;" st.Session_store.st_live
-               st.Session_store.st_spilled st.Session_store.st_bytes
-               st.Session_store.st_evictions st.Session_store.st_restores)
-        in
-        let grow i =
-          if next.(i) <= tokens then begin
-            incr step;
-            let s = List.nth convs.(i) next.(i) in
-            next.(i) <- next.(i) + 1;
-            ignore
-              (Engine.submit_exn eng
-                 ~arrival_us:(900.0 *. float_of_int !step)
-                 ~session:names.(i) s);
-            ignore (Engine.drain eng)
-          end
-        in
-        List.iter
-          (fun op ->
-            (match op with
-             | Grow i -> grow i
-             | Evict_now i -> ignore (Engine.evict_session eng names.(i))
-             | Budget b ->
-               Engine.set_session_budget eng b;
-               (* An empty drain runs the eviction pass, so a shrink
-                  takes effect immediately. *)
-               ignore (Engine.drain eng));
-            observe ())
-          ops;
-        (* Unbind the budget and finish every conversation, round-robin
-           so no session idles past the TTL while the others fill. *)
-        Engine.set_session_budget eng None;
-        let remaining () = Array.exists (fun n -> n <= tokens) next in
-        while remaining () do
-          Array.iteri (fun i _ -> grow i) names
-        done;
-        (eng, Buffer.contents log)
-      in
-      let eng, log1 = run () in
-      (* (a): evict/restore churn included, the end state is bitwise a
-         never-evicted cold execution of each full conversation. *)
-      let compiled =
-        Runtime.compile ~options:(Runtime.options_for spec) spec.M.program
-      in
-      Array.iteri
-        (fun i name ->
-          check_states_bitwise spec eng ~session:name compiled params
-            (List.nth convs.(i) tokens))
-        names;
-      (* (d): the whole lifecycle replays byte-identically. *)
-      let _, log2 = run () in
-      if log1 <> log2 then
-        Q.Test.fail_report "lifecycle trace not reproducible under its seed";
-      true)
+    check_lifecycle
+
+(* A counterexample the property found: s1 finishes its conversation
+   first and idles past the TTL while s0 and s2 catch up, so the final
+   check reads a session that is spilled, not live. *)
+let test_lifecycle_spilled_at_end () =
+  ignore
+    (check_lifecycle
+       [ Grow 1; Evict_now 1; Grow 1; Grow 2; Grow 1; Grow 2; Grow 1; Evict_now 0; Grow 1;
+         Grow 0; Grow 1; Evict_now 0; Evict_now 0; Grow 1; Grow 2; Grow 1; Grow 2; Grow 1;
+         Evict_now 0; Evict_now 2; Grow 1; Budget (Some 2700) ])
+
+(* Reading a spilled session's state is read-only: it stays evicted,
+   its spill stays held, and no restore is counted. *)
+let test_spilled_state_read_only () =
+  let spec = Models.Tree_lstm.spec ~vocab:20 ~hidden:4 () in
+  let params = spec.M.init_params (Rng.create 6) in
+  let compiled = Runtime.compile ~options:(Runtime.options_for spec) spec.M.program in
+  let structs = conversation 61 ~vocab:20 ~kind:Structure.Tree ~tokens:4 in
+  let eng = engine_of spec params in
+  ignore (serve_slice eng ~from:0 ~upto:5 structs);
+  Alcotest.(check bool) "evicted" true (Engine.evict_session eng "chat");
+  let before = Engine.session_table_stats eng in
+  check_states_bitwise spec eng ~session:"chat" compiled params (List.nth structs 4);
+  let after = Engine.session_table_stats eng in
+  Alcotest.(check bool) "table stats unchanged" true (before = after);
+  Alcotest.(check int) "spill still held" 1 after.Session_store.st_spilled;
+  Alcotest.(check int) "still not live" 0 (List.length (Engine.sessions eng))
 
 (* ---------- multi-session packing ---------- *)
 
@@ -1123,6 +1152,9 @@ let () =
             test_close_session_frees_cache_entries;
           QCheck_alcotest.to_alcotest prop_accounting_matches_linearizer;
           QCheck_alcotest.to_alcotest prop_session_lifecycle;
+          Alcotest.test_case "lifecycle: spilled at the end" `Quick
+            test_lifecycle_spilled_at_end;
+          Alcotest.test_case "spilled state read-only" `Quick test_spilled_state_read_only;
         ] );
       ( "packing",
         [
