@@ -10,15 +10,15 @@
    boxes an int, and a counting executor is a separate compilation, so
    the plain one carries no counter test.
 
-   The executor is bitwise identical to the tree walker it replaced
-   (kept as test/interp_reference.ml): float operations run in the same
-   order on the same operands, int operands of a float operation are
+   The executor is bitwise identical to the reference tree walker
+   (test/interp_reference.ml, "the walker" below): float operations run
+   in the same order on the same operands, int operands of a float operation are
    promoted with [float_of_int], bounds failures carry
    [Shape.flatten_index]'s messages, and every dynamic failure (an
    unbound variable or function, an int use of a float) is raised when
    the offending expression runs, never at compile time.  A [Select]
    whose branches have different types keeps a dynamically typed
-   [value], as the walker did everywhere. *)
+   [value], the walker's representation of every value. *)
 
 open Ir
 module Tensor = Cortex_tensor.Tensor
@@ -78,8 +78,8 @@ let as_float = function Vf v -> v | Vi n -> float_of_int n
 
 (* A tensor's storage as one run sees it.  [rank] is -1 until the
    storage is known: bound tensors are filled in when the run starts,
-   unbound ones are allocated zero-filled at their first access, as the
-   walker did.  The extents and strides of the first dimensions are
+   unbound ones are allocated zero-filled at their first access.  The
+   extents and strides of the first dimensions are
    unpacked so ranks 1-3 index without allocating. *)
 type tslot = {
   mutable rank : int;
@@ -383,7 +383,7 @@ let rec compile_expr b scope e =
     let g = Nonlinear.apply k in
     let x = to_float (compile_expr b scope a) in
     let n = Nonlinear.flops k in
-    (* The walker counted before evaluating the argument. *)
+    (* The walker counts before evaluating the argument. *)
     if b.count then F (fun fr -> count_flops fr n; g (x fr)) else F (fun fr -> g (x fr))
 
 and compile_index b scope e =
@@ -414,8 +414,8 @@ and uf_slot b (u : Uf.t) =
     b.b_ufs <- u :: b.b_ufs;
     k
 
-(* The function is looked up before its arguments run, as the walker
-   did.  Each call site owns its argument buffer: a site cannot be
+(* The function is looked up before its arguments run, as in the
+   walker.  Each call site owns its argument buffer: a site cannot be
    re-entered while its arguments are being evaluated. *)
 and compile_uf b scope u args =
   let k = uf_slot b u in
