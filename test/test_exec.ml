@@ -150,34 +150,42 @@ let corner name ?launch ?batches ?expect body =
 let store_out idx e = Store (out, [ idx ], e)
 let err s = Printexc.to_string (Interp.Runtime_error s)
 
+let oob op name i n dim =
+  err
+    (Printf.sprintf "%s %s: Shape.flatten_index: index %d out of [0,%d) at dim %d" op name i n
+       dim)
+
+let lt a c = Cmp (Lt, a, c)
+let sigmoid e = Math (Cortex_tensor.Nonlinear.Sigmoid, e)
+
 let corners =
   [
-    corner "load out of bounds" ~expect:(err "load v: Shape.flatten_index: index 4 out of [0,4) at dim 0")
+    corner "load out of bounds" ~expect:(oob "load" "v" 4 4 0)
       (for_ i (Int 5) (store_out (Int 0) (Load (v4, [ Var i ]))));
-    corner "load negative index" ~expect:(err "load v: Shape.flatten_index: index -1 out of [0,4) at dim 0")
+    corner "load negative index" ~expect:(oob "load" "v" (-1) 4 0)
       (store_out (Int 0) (Load (v4, [ Int (-1) ])));
-    (* m[0, 3] is m's flat element 3: in range, but its dimension is not. *)
-    corner "load inner dim out of bounds" ~expect:(err "load m: Shape.flatten_index: index 3 out of [0,3) at dim 1")
+    (* m[0, 3] is m's flat element 3: in range, but its dimension is
+       not — with constant and with loop-variable indices. *)
+    corner "load inner dim out of bounds" ~expect:(oob "load" "m" 3 3 1)
       (store_out (Int 0) (Load (m23, [ Int 0; Int 3 ])));
-    (* m[0, 3] is m's flat element 3. *)
-    corner "loop-indexed load out of bounds" ~expect:(err "load m: Shape.flatten_index: index 3 out of [0,3) at dim 1")
+    corner "loop-indexed load out of bounds" ~expect:(oob "load" "m" 3 3 1)
       (for_ i (Int 1) (for_ j (Int 4) (store_out (Var j) (Load (m23, [ Var i; Var j ])))));
     corner "load rank mismatch" ~expect:(err "load m: Shape.flatten_index: rank 1 vs 2")
       (store_out (Int 0) (Load (m23, [ Int 1 ])));
-    corner "store out of bounds" ~expect:(err "store out: Shape.flatten_index: index 4 out of [0,4) at dim 0")
+    corner "store out of bounds" ~expect:(oob "store" "out" 4 4 0)
       (for_ i (Int 6) (store_out (Var i) (Flt 1.0)));
     (* A store evaluates its value before checking its indices. *)
     corner "store value before bounds" ~expect:(err "division by zero")
       (store_out (Int 9) (Binop (Div, Int 1, Int 0)));
     corner "division by zero" ~expect:(err "division by zero")
-      (for_ i (Int 3) (store_out (Var i) (Binop (Div, Flt 1.0, Binop (Div, Int 2, Binop (Sub, Int 1, Var i))))));
+      (for_ i (Int 3)
+         (store_out (Var i) (Binop (Div, Flt 1.0, Binop (Div, Int 2, Binop (Sub, Int 1, Var i))))));
     corner "mod by zero" ~expect:(err "mod by zero")
       (store_out (Int 0) (Binop (Mod, Int 5, Int 0)));
     corner "float division by zero" (store_out (Int 0) (Binop (Div, Flt 1.0, Flt 0.0)));
     corner "unbound function" ~expect:(err "unbound uninterpreted function missing")
       (store_out (Int 0) (Load (v4, [ UfCall (missing_uf, [ Binop (Div, Int 1, Int 0) ]) ])));
-    corner "unbound variable" ~expect:(err "unbound variable x")
-      (store_out (Int 0) (Var x));
+    corner "unbound variable" ~expect:(err "unbound variable x") (store_out (Int 0) (Var x));
     corner "function result as an index"
       (for_ i (Int 4) (store_out (UfCall (f_uf, [ Binop (Mul, Var i, Int 7) ])) (Var i)));
     (* The inner [i] shadows the outer; after the inner loop the outer
@@ -190,58 +198,76 @@ let corners =
               store_out (Var i) (Binop (Mul, Load (out, [ Var i ]), Flt 10.0));
             ]));
     corner "shadowed let" (Let (x, Flt 2.5, Let (x, Int 3, store_out (Var x) (Var x))));
-    corner "mixed select" (for_ i (Int 4)
-       (store_out (Var i)
-          (Binop (Add, Select (Cmp (Lt, Var i, Int 2), Int 1, Flt 0.25), Select (Cmp (Ge, Var i, Int 3), Flt 0.5, Var i)))));
+    corner "mixed select"
+      (for_ i (Int 4)
+         (store_out (Var i)
+            (Binop
+               ( Add,
+                 Select (lt (Var i) (Int 2), Int 1, Flt 0.25),
+                 Select (Cmp (Ge, Var i, Int 3), Flt 0.5, Var i) ))));
     corner "mixed select as an index" ~expect:(err "expected int, got float 0.25")
-      (for_ i (Int 4) (store_out (Select (Cmp (Lt, Var i, Int 2), Var i, Flt 0.25)) (Flt 1.0)));
+      (for_ i (Int 4) (store_out (Select (lt (Var i) (Int 2), Var i, Flt 0.25)) (Flt 1.0)));
     corner "mixed select bound by a let"
       (for_ i (Int 4)
-         (Let (x, Select (Cmp (Lt, Var i, Int 2), Var i, Load (v4, [ Var i ])),
-               store_out (Var i) (Binop (Sub, Var x, Binop (Div, Var x, Int 3))))));
+         (Let
+            ( x,
+              Select (lt (Var i) (Int 2), Var i, Load (v4, [ Var i ])),
+              store_out (Var i) (Binop (Sub, Var x, Binop (Div, Var x, Int 3))) )));
+    corner "mixed select in comparisons, math and calls"
+      (for_ i (Int 4)
+         (Let
+            ( x,
+              Select (lt (Var i) (Int 2), Var i, Flt 0.5),
+              If
+                ( Cmp (Gt, Var x, Flt 0.25),
+                  store_out
+                    (UfCall (f_uf, [ Select (Cmp (Eq, Var i, Int 0), Int 1, Var i) ]))
+                    (sigmoid (Var x)),
+                  Some
+                    (for_ j (Select (lt (Var i) (Int 3), Int 2, Var i))
+                       (store_out (Var j) (Var x))) ) )));
     corner "int use of a float" ~expect:(err "expected int, got float 1.5")
       (for_ i (Binop (Add, Int 1, Flt 0.5)) (store_out (Int 0) (Flt 1.0)));
     corner "float let used as an index" ~expect:(err "expected int, got float 2.5")
       (Let (x, Flt 2.5, store_out (Var x) (Flt 1.0)));
-    corner "promotion" (seq
-       [
-         store_out (Int 0) (Binop (Div, Int 7, Flt 2.0));
-         store_out (Int 1) (Binop (Div, Int 7, Int 2));
-         store_out (Int 2) (Binop (Min, Flt (-0.0), Int 0));
-         store_out (Int 3) (Binop (Mod, Load (v4, [ Int 3 ]), Int 2));
-       ]);
+    corner "promotion"
+      (seq
+         [
+           store_out (Int 0) (Binop (Div, Int 7, Flt 2.0));
+           store_out (Int 1) (Binop (Div, Int 7, Int 2));
+           store_out (Int 2) (Binop (Min, Flt (-0.0), Int 0));
+           store_out (Int 3) (Binop (Mod, Load (v4, [ Int 3 ]), Int 2));
+         ]);
     corner "float comparisons"
       (for_ i (Int 4)
-         (If (And (Cmp (Le, Load (v4, [ Var i ]), Int 2), Not (Cmp (Eq, Var i, Flt 1.0))),
+         (If
+            ( And (Cmp (Le, Load (v4, [ Var i ]), Int 2), Not (Cmp (Eq, Var i, Flt 1.0))),
               store_out (Var i) (Math (Cortex_tensor.Nonlinear.Tanh, Var i)),
-              Some (store_out (Var i) (Math (Cortex_tensor.Nonlinear.Sigmoid, Load (m23, [ Int 1; Var i ])))))));
+              Some (store_out (Var i) (sigmoid (Load (m23, [ Int 1; Var i ])))) )));
     (* [Or] must not evaluate its right side when the left holds. *)
     corner "short circuit"
       (for_ i (Int 4)
-         (If (Or (Cmp (Lt, Var i, Int 3), Cmp (Eq, Binop (Div, Int 1, Int 0), Int 0)),
-              store_out (Var i) (Flt 1.0), None)));
+         (If
+            ( Or (lt (Var i) (Int 3), Cmp (Eq, Binop (Div, Int 1, Int 0), Int 0)),
+              store_out (Var i) (Flt 1.0),
+              None )));
     (* The left operand runs first: its bounds failure wins. *)
-    corner "evaluation order" ~expect:(err "load v: Shape.flatten_index: index 9 out of [0,4) at dim 0")
+    corner "evaluation order" ~expect:(oob "load" "v" 9 4 0)
       (store_out (Int 0) (Binop (Sub, Load (v4, [ Int 9 ]), Load (m23, [ Var x; Int 0 ]))));
     corner "unbound temporary allocated on first use"
       (for_ i (UfCall (n_uf, []))
          (seq
             [
-              Store (lazy_t, [ Var i ], Binop (Add, Load (lazy_t, [ Var i ]), Load (v4, [ Var i ])));
+              Store
+                (lazy_t, [ Var i ], Binop (Add, Load (lazy_t, [ Var i ]), Load (v4, [ Var i ])));
               store_out (Var i) (Load (lazy_t, [ Var i ]));
             ]));
     (* An unbound tensor is allocated before its indices run. *)
     corner "allocation before indices" ~expect:(err "unbound uninterpreted function missing")
       (Store (unsized, [ Binop (Div, Int 1, Int 0) ], Flt 1.0));
-    corner "zero-extent temporary" ~expect:(Printexc.to_string (Invalid_argument "Shape.validate: extent 0"))
+    corner "zero-extent temporary"
+      ~expect:(Printexc.to_string (Invalid_argument "Shape.validate: extent 0"))
       (store_out (Int 0) (Load (empty, [ Int 0 ])));
-    corner "mixed select in comparisons, math and calls"
-      (for_ i (Int 4)
-         (Let (x, Select (Cmp (Lt, Var i, Int 2), Var i, Flt 0.5),
-               If (Cmp (Gt, Var x, Flt 0.25),
-                   store_out (UfCall (f_uf, [ Select (Cmp (Eq, Var i, Int 0), Int 1, Var i) ]))
-                     (Math (Cortex_tensor.Nonlinear.Sigmoid, Var x)),
-                   Some (for_ j (Select (Cmp (Lt, Var i, Int 3), Int 2, Var i)) (store_out (Var j) (Var x)))))));
     corner "per-batch kernel" ~launch:(PerInternalBatch j) ~batches:3
       (store_out (Var j) (Binop (Add, Load (out, [ Var j ]), Var j)));
   ]
