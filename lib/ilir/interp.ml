@@ -48,18 +48,11 @@ type context = {
   ufs : (int, int array -> int) Hashtbl.t;
   storage : (int, Tensor.t) Hashtbl.t;
   num_internal_batches : int;
-  count : bool;
   ctrs : counters;
 }
 
-let create ?(count = false) ~num_internal_batches () =
-  {
-    ufs = Hashtbl.create 16;
-    storage = Hashtbl.create 16;
-    num_internal_batches;
-    count;
-    ctrs = fresh_counters ();
-  }
+let create ~num_internal_batches () =
+  { ufs = Hashtbl.create 16; storage = Hashtbl.create 16; num_internal_batches; ctrs = fresh_counters () }
 
 let counters ctx = ctx.ctrs
 let num_internal_batches ctx = ctx.num_internal_batches
@@ -67,6 +60,11 @@ let num_internal_batches ctx = ctx.num_internal_batches
 let bind_uf ctx (u : Uf.t) f = Hashtbl.replace ctx.ufs u.Uf.uid f
 let bind_uf0 ctx u v = bind_uf ctx u (fun _ -> v)
 let bind_tensor ctx (t : tensor) storage = Hashtbl.replace ctx.storage t.tid storage
+
+let find_uf ctx (u : Uf.t) =
+  match Hashtbl.find_opt ctx.ufs u.Uf.uid with
+  | Some f -> f
+  | None -> fail "unbound uninterpreted function %s" u.Uf.uname
 
 let as_int = function
   | Vi n -> n
@@ -224,7 +222,7 @@ let int_op op x y =
   | Min -> min x y
   | Max -> max x y
 
-let float_op op x y =
+let[@inline] float_op op x y =
   match op with
   | Add -> x +. y
   | Sub -> x -. y
@@ -278,27 +276,60 @@ type access = {
   k : int;  (* tensor slot *)
   name : string;
   p : int;  (* with [q], the int slots of a rank-2 access indexed by two *)
-  q : int;  (* variables — the shape of nearly every access; else -1 *)
+  q : int;  (* variables, read in place by [offset]; else -1 *)
   off : frame -> tslot -> int;  (* flat offset, or -1 out of bounds *)
   bad : int array;  (* the indices of the last failing evaluation *)
 }
 
+let[@inline] rank2 bad ts i0 i1 =
+  if ts.rank = 2 && i0 >= 0 && i0 < ts.d0 && i1 >= 0 && i1 < ts.d1 then (i0 * ts.s0) + i1
+  else (bad.(0) <- i0; bad.(1) <- i1; -1)
+
+(* The flat offset of an access, or -1 out of bounds.  Every load and
+   store, plain or counting, computes it here. *)
 let[@inline] offset a fr ts =
   if a.p < 0 then a.off fr ts
-  else begin
-    let i0 = Array.unsafe_get fr.ints a.p and i1 = Array.unsafe_get fr.ints a.q in
-    if ts.rank = 2 && i0 >= 0 && i0 < ts.d0 && i1 >= 0 && i1 < ts.d1 then (i0 * ts.s0) + i1
-    else begin
-      a.bad.(0) <- i0;
-      a.bad.(1) <- i1;
-      -1
-    end
-  end
+  else rank2 a.bad ts (Array.unsafe_get fr.ints a.p) (Array.unsafe_get fr.ints a.q)
 
-let[@inline] read a fr =
+(* The bodies of every load and store, shared by both executors.
+   [count] is a constant at each call site, so once inlined the plain
+   closures carry no counter test.  An access counts where the walker
+   does: after resolving the tensor and evaluating the indices (and a
+   store's value), before the bounds check. *)
+let[@inline] load ~count sp a fr =
   let ts = resolve fr a.k in
   let o = offset a fr ts in
+  if count then count_load fr sp;
   if o < 0 then out_of_bounds "load" a.name ts a.bad else Array.unsafe_get ts.data o
+
+let[@inline] store ~count sp a v fr =
+  let ts = resolve fr a.k in
+  let o = offset a fr ts in
+  let x = v fr in
+  if count then count_store fr sp;
+  if o < 0 then out_of_bounds "store" a.name ts a.bad else Array.unsafe_set ts.data o x
+
+(* [t[i..] = t[i..] + e] with variable or constant indices, the
+   accumulation of every lowered reduction: the load and the store share
+   one offset and one bounds check.  The walker evaluates the same pure
+   indices twice, to the same offset, and checks the load's bounds
+   first, so its failure is the one raised. *)
+let[@inline] accumulate ~count sp a e fr =
+  let ts = resolve fr a.k in
+  let o = offset a fr ts in
+  if count then count_load fr sp;
+  if o < 0 then out_of_bounds "load" a.name ts a.bad;
+  let x = Array.unsafe_get ts.data o in
+  let y = e fr in
+  if count then (count_flops fr 1; count_store fr sp);
+  Array.unsafe_set ts.data o (x +. y)
+
+(* A float binop of two loads, with no float boxed between them. *)
+let[@inline] combine ~count op (sx, x) (sy, y) fr =
+  let p = load ~count sx x fr in
+  let q = load ~count sy y fr in
+  if count then count_flops fr 1;
+  float_op op p q
 
 let index_fn = function Slot s -> fun fr -> Array.unsafe_get fr.ints s | Fn f -> f
 
@@ -314,16 +345,12 @@ let rec compile_expr b scope e =
     | None ->
       let name = v.Var.vname in
       I (fun _ -> fail "unbound variable %s" name))
-  | Binop (((Add | Sub | Mul | Div) as op), Load (ta, ia), Load (tc, ic)) when not b.count ->
-    (* Two loads combined in place: no float is boxed between them. *)
-    let x = access b scope ta ia in
-    let y = access b scope tc ic in
+  | Binop (op, Load (ta, ia), Load (tc, ic)) ->
+    let x = (space_index ta.space, access b scope ta ia) in
+    let y = (space_index tc.space, access b scope tc ic) in
     F
-      (match op with
-       | Add -> fun fr -> let p = read x fr in p +. read y fr
-       | Sub -> fun fr -> let p = read x fr in p -. read y fr
-       | Mul -> fun fr -> let p = read x fr in p *. read y fr
-       | _ -> fun fr -> let p = read x fr in p /. read y fr)
+      (if b.count then fun fr -> combine ~count:true op x y fr
+       else fun fr -> combine ~count:false op x y fr)
   | Binop (op, a, c) -> (
     let ca = compile_expr b scope a in
     let cc = compile_expr b scope c in
@@ -463,9 +490,7 @@ and access b scope (t : tensor) idx =
       let x = index_fn i and y = index_fn j in
       fun fr ts ->
         let i0 = x fr in
-        let i1 = y fr in
-        if ts.rank = 2 && i0 >= 0 && i0 < ts.d0 && i1 >= 0 && i1 < ts.d1 then (i0 * ts.s0) + i1
-        else (bad.(0) <- i0; bad.(1) <- i1; -1)
+        rank2 bad ts i0 (y fr)
     | [ i; j; l ] ->
       let x = index_fn i and y = index_fn j and z = index_fn l in
       fun fr ts ->
@@ -487,52 +512,8 @@ and access b scope (t : tensor) idx =
   { k = tensor_slot b t; name = t.tname; p; q; off; bad }
 
 and compile_load b scope t idx =
-  let a = access b scope t idx in
-  if b.count then begin
-    let sp = space_index t.space in
-    fun fr ->
-      let ts = resolve fr a.k in
-      let o = offset a fr ts in
-      count_load fr sp;
-      if o < 0 then out_of_bounds "load" a.name ts a.bad else Array.unsafe_get ts.data o
-  end
-  else fun fr -> read a fr
-
-(* [t[i..] = t[i..] + e] with variable or constant indices: the load's
-   bounds check is the store's, so the offset is computed once. *)
-let rec compile_store b scope t idx value =
-  match value with
-  | Binop (Add, Load (t', idx'), e)
-    when (not b.count) && t'.tid = t.tid && idx' = idx
-         && List.for_all (function Var _ | Int _ -> true | _ -> false) idx ->
-    let a = access b scope t idx in
-    let e = to_float (compile_expr b scope e) in
-    fun fr ->
-      let ts = resolve fr a.k in
-      let o = offset a fr ts in
-      if o < 0 then out_of_bounds "load" a.name ts a.bad
-      else
-        let x = Array.unsafe_get ts.data o in
-        Array.unsafe_set ts.data o (x +. e fr)
-  | _ -> compile_plain_store b scope t idx value
-
-and compile_plain_store b scope t idx value =
-  let a = access b scope t idx in
-  let v = to_float (compile_expr b scope value) in
-  let sp = space_index t.space in
-  let store ts o x =
-    if o < 0 then out_of_bounds "store" a.name ts a.bad else Array.unsafe_set ts.data o x
-  in
-  if b.count then fun fr ->
-    let ts = resolve fr a.k in
-    let o = offset a fr ts in
-    let x = v fr in
-    count_store fr sp;
-    store ts o x
-  else fun fr ->
-    let ts = resolve fr a.k in
-    let o = offset a fr ts in
-    store ts o (v fr)
+  let a = access b scope t idx and sp = space_index t.space in
+  if b.count then fun fr -> load ~count:true sp a fr else fun fr -> load ~count:false sp a fr
 
 let nop (_ : frame) = ()
 
@@ -563,7 +544,17 @@ let rec compile_stmt b scope s =
       let slot = new_val b in
       let body = compile_stmt b ((v.Var.vid, BV slot) :: scope) body in
       fun fr -> Array.unsafe_set fr.vals slot (f fr); body fr)
-  | Store (t, idx, value) -> compile_store b scope t idx value
+  | Store (t, idx, Binop (Add, Load (t', idx'), e))
+    when t'.tid = t.tid && idx' = idx
+         && List.for_all (function Var _ | Int _ -> true | _ -> false) idx ->
+    let a = access b scope t idx and sp = space_index t.space in
+    let e = to_float (compile_expr b scope e) in
+    if b.count then fun fr -> accumulate ~count:true sp a e fr
+    else fun fr -> accumulate ~count:false sp a e fr
+  | Store (t, idx, value) ->
+    let a = access b scope t idx and sp = space_index t.space in
+    let v = to_float (compile_expr b scope value) in
+    if b.count then fun fr -> store ~count:true sp a v fr else fun fr -> store ~count:false sp a v fr
   | If (c, a, d) -> (
     let c = to_int (compile_expr b scope c) in
     let a = compile_stmt b scope a in
@@ -658,15 +649,15 @@ let exec ex (ctx : context) =
         done)
     ex.ex_steps
 
-let run_program (ctx : context) p = exec (compile ~count:ctx.count p) ctx
+let run_program ?count ctx p = exec (compile ?count p) ctx
 
 (* ---------- one-off evaluation ---------- *)
 
 (* Compile one expression or statement under the bindings of [env] (the
    first binding of a vid wins, as with an association list) and run
-   it once. *)
+   it once, without counting. *)
 let one_off (ctx : context) env compile_with =
-  let b = builder ctx.count in
+  let b = builder false in
   let scope, inits =
     List.split
       (List.map

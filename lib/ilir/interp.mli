@@ -32,9 +32,7 @@ type context
 (** The bindings one execution runs against: uninterpreted functions,
     tensor storage, the per-batch launch count and the counters. *)
 
-val create : ?count:bool -> num_internal_batches:int -> unit -> context
-(** [count] (default off) makes {!run_program}, {!eval_expr},
-    {!run_stmt} and {!get_tensor} count into {!counters}. *)
+val create : num_internal_batches:int -> unit -> context
 
 val counters : context -> counters
 
@@ -48,6 +46,9 @@ val bind_uf : context -> Ir.Uf.t -> (int array -> int) -> unit
 val bind_uf0 : context -> Ir.Uf.t -> int -> unit
 (** Bind a nullary UF to a constant (e.g. [num_leaves()]). *)
 
+val find_uf : context -> Ir.Uf.t -> int array -> int
+(** The function bound to a UF; raises {!Runtime_error} if none is. *)
+
 val bind_tensor : context -> Ir.tensor -> Cortex_tensor.Tensor.t -> unit
 (** Provide storage for a tensor (parameters, inputs, or outputs the
     caller wants to inspect).  Unbound temporaries/outputs are allocated
@@ -57,7 +58,9 @@ val get_tensor : context -> Ir.tensor -> Cortex_tensor.Tensor.t
 (** Storage of a tensor; allocates if not yet bound. *)
 
 val eval_expr : context -> (int * value) list -> Ir.expr -> value
-(** Evaluate an expression under variable bindings (vid -> value). *)
+(** Evaluate an expression under variable bindings (vid -> value).
+    Like {!run_stmt} and {!get_tensor}, it compiles what it runs and
+    does not count. *)
 
 val run_stmt : context -> (int * value) list -> Ir.stmt -> unit
 
@@ -77,14 +80,13 @@ val exec : executor -> context -> unit
     order, every kernel of the run is launched with the batch variable
     bound — the launch interleaving an unfused framework actually
     performs along the dependence-carrying batch sequence.  Counts into
-    the context's counters when the executor was compiled counting,
-    whatever the context's own [count] flag. *)
+    the context's counters when the executor was compiled counting. *)
 
 val compiled_for : executor -> Ir.program -> bool
 (** Whether the executor was compiled from this program (physically the
     same kernel list). *)
 
-val run_program : context -> Ir.program -> unit
-(** [exec (compile ~count p) ctx], counting when the context does. *)
+val run_program : ?count:bool -> context -> Ir.program -> unit
+(** [exec (compile ?count p) ctx]. *)
 
 exception Runtime_error of string

@@ -40,7 +40,15 @@ let as_float = function Interp.Vf v -> v | Interp.Vi n -> float_of_int n
    interception; [task] identifies the current thread group. *)
 let rec eval st env ~task e =
   match e with
-  | Int _ | Flt _ | Var _ | UfCall _ -> Interp.eval_expr st.ctx env e
+  | Int n -> Interp.Vi n
+  | Flt v -> Interp.Vf v
+  | Var v -> (
+    match List.assoc_opt v.Var.vid env with
+    | Some x -> x
+    | None -> raise (Interp.Runtime_error ("unbound variable " ^ v.Var.vname)))
+  | UfCall (u, args) ->
+    let f = Interp.find_uf st.ctx u in
+    Interp.Vi (f (Array.of_list (List.map (fun a -> as_int (eval st env ~task a)) args)))
   | Binop (op, a, b) ->
     let va = eval st env ~task a and vb = eval st env ~task b in
     (match (va, vb) with

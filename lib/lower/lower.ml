@@ -1279,9 +1279,9 @@ let resolve compiled (lin : Linearizer.t) =
   in
   { res_bindings = bindings; res_uf; res_num_batch_launches = nb }
 
-let bind ?(count = false) compiled (lin : Linearizer.t) =
+let bind compiled (lin : Linearizer.t) =
   let r = resolve compiled lin in
-  let ctx = Interp.create ~count ~num_internal_batches:r.res_num_batch_launches () in
+  let ctx = Interp.create ~num_internal_batches:r.res_num_batch_launches () in
   List.iter (fun (f, g) -> Interp.bind_uf ctx f g) r.res_bindings;
   (* Allocate states and wire on-chip mirrors to the same storage. *)
   List.iter

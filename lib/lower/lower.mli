@@ -156,11 +156,7 @@ type bound = {
   num_batch_launches : int;
 }
 
-val bind :
-  ?count:bool ->
-  compiled ->
-  Cortex_linearizer.Linearizer.t ->
-  bound
+val bind : compiled -> Cortex_linearizer.Linearizer.t -> bound
 (** {!resolve}, then an interpreter context with the resolved
     functions installed, state tensors allocated, and aliases wired to
     shared storage — what numeric execution needs.  Parameters still

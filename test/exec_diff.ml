@@ -51,7 +51,7 @@ let reference (compiled : Lower.compiled) lin ~params : result =
     of_reference (R.counters ctx) )
 
 let executor ~count (compiled : Lower.compiled) lin ~params : result =
-  let bound = Lower.bind ~count compiled lin in
+  let bound = Lower.bind compiled lin in
   let ctx = bound.Lower.ctx in
   List.iter
     (fun (name, t) -> Interp.bind_tensor ctx t (fresh params name))

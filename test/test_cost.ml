@@ -11,12 +11,12 @@ let counts_agree ?(options = Lower.default) (spec : M.t) ~batch =
   let structure = spec.M.dataset (Rng.create 31) ~batch in
   let lin = Linearizer.run structure in
   (* Dynamic execution with counters on. *)
-  let bound = Lower.bind ~count:true compiled lin in
+  let bound = Lower.bind compiled lin in
   let params = spec.M.init_params (Rng.create 32) in
   List.iter
     (fun (name, t) -> Interp.bind_tensor bound.Lower.ctx t (params name))
     compiled.Lower.param_tensors;
-  Interp.run_program bound.Lower.ctx compiled.Lower.prog;
+  Interp.run_program ~count:true bound.Lower.ctx compiled.Lower.prog;
   let dynamic = Interp.counters bound.Lower.ctx in
   (* Static walk. *)
   let cost =
@@ -76,12 +76,12 @@ let test_per_space_counts () =
   let compiled = Runtime.compile ~options:(Runtime.options_for spec) spec.M.program in
   let structure = spec.M.dataset (Rng.create 77) ~batch:2 in
   let lin = Linearizer.run structure in
-  let bound = Lower.bind ~count:true compiled lin in
+  let bound = Lower.bind compiled lin in
   let params = spec.M.init_params (Rng.create 78) in
   List.iter
     (fun (name, t) -> Interp.bind_tensor bound.Lower.ctx t (params name))
     compiled.Lower.param_tensors;
-  Interp.run_program bound.Lower.ctx compiled.Lower.prog;
+  Interp.run_program ~count:true bound.Lower.ctx compiled.Lower.prog;
   let dynamic = Interp.counters bound.Lower.ctx in
   let cost =
     Cost.analyze ~uf:bound.Lower.uf_resolver

@@ -119,13 +119,13 @@ let run_corner ?(launch = Once) ?(batches = 0) body =
       Exec_diff.of_reference (R.counters ctx) )
   in
   let executor count =
-    let ctx = Interp.create ~count ~num_internal_batches:batches () in
+    let ctx = Interp.create ~num_internal_batches:batches () in
     Interp.bind_uf0 ctx n_uf 3;
     Interp.bind_uf ctx f_uf f;
     let vd, md = data () in
     Interp.bind_tensor ctx v4 vd;
     Interp.bind_tensor ctx m23 md;
-    let failure = Exec_diff.outcome (fun () -> Interp.run_program ctx prog) in
+    let failure = Exec_diff.outcome (fun () -> Interp.run_program ~count ctx prog) in
     ( failure,
       List.map (fun t -> Exec_diff.bits (Interp.get_tensor ctx t)) tensors,
       Exec_diff.of_interp (Interp.counters ctx) )
@@ -177,6 +177,8 @@ let corners =
     (* A store evaluates its value before checking its indices. *)
     corner "store value before bounds" ~expect:(err "division by zero")
       (store_out (Int 9) (Binop (Div, Int 1, Int 0)));
+    corner "store indices before value" ~expect:(err "mod by zero")
+      (store_out (Binop (Mod, Int 1, Int 0)) (Var x));
     corner "division by zero" ~expect:(err "division by zero")
       (for_ i (Int 3)
          (store_out (Var i) (Binop (Div, Flt 1.0, Binop (Div, Int 2, Binop (Sub, Int 1, Var i))))));
@@ -251,6 +253,25 @@ let corners =
             ( Or (lt (Var i) (Int 3), Cmp (Eq, Binop (Div, Int 1, Int 0), Int 0)),
               store_out (Var i) (Flt 1.0),
               None )));
+    (* [t[i..] = t[i..] + e] shares one offset between its load and
+       store: the load's failure is raised, after the load has counted;
+       an addend's failure leaves the cell unwritten. *)
+    corner "accumulate out of bounds" ~expect:(oob "load" "m" 3 3 1)
+      (for_ i (Int 2)
+         (for_ j (Int 4)
+            (Store (m23, [ Var i; Var j ], Binop (Add, Load (m23, [ Var i; Var j ]), Flt 1.0)))));
+    corner "accumulate with a failing addend" ~expect:(oob "load" "v" 4 4 0)
+      (for_ i (Int 4)
+         (Store
+            (out, [ Var i ], Binop (Add, Load (out, [ Var i ]), Load (v4, [ Binop (Add, Var i, Int 2) ])))));
+    corner "accumulate an int at a constant index"
+      (for_ i (Int 4) (Store (out, [ Int 1 ], Binop (Add, Load (out, [ Int 1 ]), Var i))));
+    corner "two loads under a non-commutative operator"
+      (seq
+         [
+           for_ i (Int 3) (store_out (Var i) (Binop (Sub, Load (v4, [ Var i ]), Load (m23, [ Int 1; Var i ]))));
+           store_out (Int 3) (Binop (Div, Load (v4, [ Int 3 ]), Load (m23, [ Int 1; Int 2 ])));
+         ]);
     (* The left operand runs first: its bounds failure wins. *)
     corner "evaluation order" ~expect:(oob "load" "v" 9 4 0)
       (store_out (Int 0) (Binop (Sub, Load (v4, [ Int 9 ]), Load (m23, [ Var x; Int 0 ]))));

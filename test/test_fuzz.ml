@@ -214,11 +214,11 @@ let check_seed seed =
     (fun options ->
       let compiled = Lower.lower ~options program in
       let lin = Linearizer.run structure in
-      let bound = Lower.bind ~count:true compiled lin in
+      let bound = Lower.bind compiled lin in
       List.iter
         (fun (name, t) -> Interp.bind_tensor bound.Lower.ctx t (params name))
         compiled.Lower.param_tensors;
-      Interp.run_program bound.Lower.ctx compiled.Lower.prog;
+      Interp.run_program ~count:true bound.Lower.ctx compiled.Lower.prog;
       let values_agree =
         Array.for_all
           (fun node ->
