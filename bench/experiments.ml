@@ -10,14 +10,13 @@ let seed = 2021
 
 let dataset (spec : M.t) ~batch = spec.M.dataset (Rng.create (seed + batch)) ~batch
 
-(* All Cortex-side measurements go through the serving engine's
-   single-request path: one compiled model per (spec, options, backend),
-   the same pricing the serving sweeps use. *)
-let engine_for ?lock_free ?(base = L.default) (spec : M.t) backend =
-  Engine.of_spec ~config:(Engine.Config.make ~options:base ?lock_free ()) spec ~backend
-
+(* All Cortex-side measurements price one structure with
+   [Runtime.simulate] on the artifact the serving engine would compile
+   for (spec, options): the inspector is charged through its
+   deterministic model, so every table is a pure function of the seed. *)
 let cortex_report ?lock_free ?base (spec : M.t) backend structure =
-  Engine.run_one (engine_for ?lock_free ?base spec backend) structure
+  let compiled = Runtime.compile ~options:(Runtime.options_for ?base spec) spec.M.program in
+  Runtime.simulate ?lock_free compiled ~backend structure
 
 let cortex_ms ?lock_free ?base spec backend structure =
   Runtime.total_ms (cortex_report ?lock_free ?base spec backend structure)
@@ -949,7 +948,8 @@ let serving () =
     "Throughput scales near-linearly until the offered load is no longer the bottleneck;\nleast-loaded keeps the per-device utilization spread tightest.\n";
   (* Shape-cache sweep: a repeated-shape workload (perfect trees of a few
      heights) with the cache off vs on.  Hits skip the inspector, so the
-     linearize column collapses while latency/throughput stay honest. *)
+     host linearize column collapses; the simulated clock charges the
+     inspector model either way, so latency/throughput do not move. *)
   let ctrace =
     Trace.poisson (Rng.create (seed + 3)) ~rate_rps:4000.0 ~duration_ms:30.0
       ~gen:(fun rng ->
@@ -957,7 +957,7 @@ let serving () =
         Gen.perfect_tree rng ~height ~vocab:200 ())
   in
   let header =
-    [ "Cache"; "hits"; "misses"; "hit rate"; "mean lin us"; "req/s"; "p99 us" ]
+    [ "Cache"; "hits"; "misses"; "hit rate"; "mean host lin us"; "req/s"; "p99 us" ]
   in
   let rows =
     List.map
@@ -971,7 +971,8 @@ let serving () =
         let c = s.Engine.cache in
         let mean_lin =
           let lins =
-            List.map (fun (w : Engine.window_report) -> w.Engine.wr_report.Runtime.linearize_us)
+            List.map
+              (fun (w : Engine.window_report) -> w.Engine.wr_report.Runtime.host_linearize_us)
               s.Engine.windows
           in
           Stats.mean lins
@@ -992,7 +993,7 @@ let serving () =
       "Serving — shape-keyed linearization cache, repeated perfect-tree shapes (heights 3-5), max_batch 1"
     ~header rows;
   print_endline
-    "With a handful of hot shapes the cache converges to ~100% hits: a hit re-binds payloads\nin O(nodes) instead of re-running the inspector, collapsing the linearization column.\n"
+    "With a handful of hot shapes the cache converges to ~100% hits: a hit re-binds payloads\nin O(nodes) instead of re-running the inspector, collapsing the host linearization column.\n"
 
 (* ---------- extra: chaos sweep (fault-tolerant serving) ---------- *)
 
@@ -1221,7 +1222,7 @@ let observability () =
    geometric [Linearizer.extend] materialization) versus a session-less
    server that re-linearizes the whole conversation on every token.
    Both sides are the engine's own measured host inspector wall clock
-   (summed [rr_linearize_us]); the cold engine runs size-1 windows with
+   (summed [host_linearize_us] of the window reports); the cold engine runs size-1 windows with
    the shape cache disabled, since every growing prefix is a new shape
    anyway.  Also checks the tentpole's exactness claim: the forest
    grown by repeated [extend] is bitwise identical to a cold
@@ -1258,8 +1259,8 @@ let incremental () =
   in
   let inspector_total (s : Engine.summary) =
     List.fold_left
-      (fun acc (r : Engine.request_report) -> acc +. r.Engine.rr_linearize_us)
-      0.0 s.Engine.requests
+      (fun acc (w : Engine.window_report) -> acc +. w.Engine.wr_report.Runtime.host_linearize_us)
+      0.0 s.Engine.windows
   in
   let records = ref [] in
   let header =

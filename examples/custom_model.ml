@@ -102,8 +102,8 @@ let () =
     ]
   in
   let eval options =
-    let engine = Engine.create ~config:(Engine.Config.make ~options ()) ~model ~backend:Backend.gpu () in
-    Runtime.total_ms (Engine.run_one engine structure)
+    let compiled = Runtime.compile ~options model in
+    Runtime.total_ms (Runtime.simulate compiled ~backend:Backend.gpu structure)
   in
   let best, best_ms = Runtime.grid_search ~candidates ~eval in
   Printf.printf

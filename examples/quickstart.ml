@@ -88,7 +88,7 @@ let () =
     trees;
 
   (* 6. And estimate what one of these inferences costs on a V100. *)
-  let report = Engine.run_one engine (List.hd trees) in
+  let report = Runtime.simulate compiled ~backend:Backend.gpu (List.hd trees) in
   Printf.printf
     "simulated V100 latency: %.1f us (%d kernel launch(es), %d barrier(s); linearization %.1f us)\n"
     report.Runtime.latency.Backend.total_us

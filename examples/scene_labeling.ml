@@ -60,7 +60,8 @@ let () =
 
   (* Specialization is a no-op for DAGs with one leaf (§7.3): *)
   let ms base =
-    Runtime.total_ms (Engine.run_one (Engine.of_spec ~config:(Engine.Config.make ~options:base ()) spec ~backend:Backend.gpu) grid)
+    let compiled = Runtime.compile ~options:(Runtime.options_for ~base spec) spec.M.program in
+    Runtime.total_ms (Runtime.simulate compiled ~backend:Backend.gpu grid)
   in
   Printf.printf "simulated V100: specialized %.3f ms vs unspecialized %.3f ms (expected ~equal)\n"
     (ms Lower.default)

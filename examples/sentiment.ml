@@ -49,7 +49,9 @@ let () =
     (Array.length lin.Linearizer.batches)
     (Array.fold_left (fun m (_, l) -> max m l) 0 lin.Linearizer.batches)
     lin.Linearizer.leaf_begin;
-  let report = Engine.run_one engine (Structure.merge sentences) in
+  let report =
+    Runtime.simulate (Engine.compiled engine) ~backend:Backend.gpu (Structure.merge sentences)
+  in
   Printf.printf
     "simulated V100: %.2f ms end-to-end in %d fused kernel launch(es) (%d barriers)\n"
     (Runtime.total_ms report)

@@ -7,8 +7,7 @@
    array, picked from the static type of what it binds, and each tensor
    a [tslot] holding its flat data, extents and strides for the run.
    Nothing on the hot path looks a name up, allocates an index array or
-   boxes an int, and a counting executor is a separate compilation, so
-   the plain one carries no counter test.
+   boxes an int.
 
    The executor is bitwise identical to the reference tree walker
    (test/interp_reference.ml, "the walker" below): float operations run
@@ -31,34 +30,20 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Runtime_error s)) fmt
 
 type value = Vi of int | Vf of float
 
-type counters = {
-  mutable loads : int;
-  mutable stores : int;
-  mutable flops : int;
-  mutable loads_by_space : int array;
-  mutable stores_by_space : int array;
-}
-
 let space_index = function Param -> 0 | Global -> 1 | Shared -> 2 | Register -> 3
-
-let fresh_counters () =
-  { loads = 0; stores = 0; flops = 0; loads_by_space = Array.make 4 0; stores_by_space = Array.make 4 0 }
 
 type context = {
   ufs : (int, int array -> int) Hashtbl.t;
   storage : (int, Tensor.t) Hashtbl.t;
   num_internal_batches : int;
-  ctrs : counters;
 }
 
 let create ~num_internal_batches () =
-  { ufs = Hashtbl.create 16; storage = Hashtbl.create 16; num_internal_batches; ctrs = fresh_counters () }
+  { ufs = Hashtbl.create 16; storage = Hashtbl.create 16; num_internal_batches }
 
-let counters ctx = ctx.ctrs
 let num_internal_batches ctx = ctx.num_internal_batches
 
 let bind_uf ctx (u : Uf.t) f = Hashtbl.replace ctx.ufs u.Uf.uid f
-let bind_uf0 ctx u v = bind_uf ctx u (fun _ -> v)
 let bind_tensor ctx (t : tensor) storage = Hashtbl.replace ctx.storage t.tid storage
 
 let find_uf ctx (u : Uf.t) =
@@ -96,7 +81,6 @@ type frame = {
   vals : value array;
   tens : tslot array;
   ufs : (int array -> int) array;
-  ctrs : counters;
   ctx : context;
   tensors : tensor array;  (* slot -> tensor, for first-use allocation *)
   extents : (frame -> int) array array;  (* slot -> compiled extents *)
@@ -161,7 +145,6 @@ type executor = {
 (* Compile-time state: slot counters and the tensor and function
    tables, each keyed by id. *)
 type builder = {
-  count : bool;
   mutable n_ints : int;
   mutable n_flts : int;
   mutable n_vals : int;
@@ -172,9 +155,8 @@ type builder = {
   mutable b_ufs : Uf.t list;  (* newest first *)
 }
 
-let builder count =
+let builder () =
   {
-    count;
     n_ints = 0;
     n_flts = 0;
     n_vals = 0;
@@ -240,20 +222,6 @@ let float_cmp op (x : float) y =
 
 let bit b = if b then 1 else 0
 
-let count_flops fr n = fr.ctrs.flops <- fr.ctrs.flops + n
-
-let count_access (arr : counters -> int array) bump fr sp =
-  bump fr.ctrs;
-  let a = arr fr.ctrs in
-  a.(sp) <- a.(sp) + 1
-
-let count_load = count_access (fun c -> c.loads_by_space) (fun c -> c.loads <- c.loads + 1)
-let count_store = count_access (fun c -> c.stores_by_space) (fun c -> c.stores <- c.stores + 1)
-
-(* Float operations cannot fail, so counting one after it runs is the
-   walker's count-then-compute. *)
-let counted b n f = if b.count then fun fr -> let v = f fr in count_flops fr n; v else f
-
 let int_binop op x y =
   match op with
   | Add -> fun fr -> let a = x fr in a + y fr
@@ -286,27 +254,23 @@ let[@inline] rank2 bad ts i0 i1 =
   else (bad.(0) <- i0; bad.(1) <- i1; -1)
 
 (* The flat offset of an access, or -1 out of bounds.  Every load and
-   store, plain or counting, computes it here. *)
+   store computes it here. *)
 let[@inline] offset a fr ts =
   if a.p < 0 then a.off fr ts
   else rank2 a.bad ts (Array.unsafe_get fr.ints a.p) (Array.unsafe_get fr.ints a.q)
 
-(* The bodies of every load and store, shared by both executors.
-   [count] is a constant at each call site, so once inlined the plain
-   closures carry no counter test.  An access counts where the walker
-   does: after resolving the tensor and evaluating the indices (and a
-   store's value), before the bounds check. *)
-let[@inline] load ~count sp a fr =
+(* The bodies of every load and store.  An access resolves the tensor
+   and evaluates the indices (and a store's value) before its bounds
+   check, as the walker does. *)
+let[@inline] load a fr =
   let ts = resolve fr a.k in
   let o = offset a fr ts in
-  if count then count_load fr sp;
   if o < 0 then out_of_bounds "load" a.name ts a.bad else Array.unsafe_get ts.data o
 
-let[@inline] store ~count sp a v fr =
+let[@inline] store a v fr =
   let ts = resolve fr a.k in
   let o = offset a fr ts in
   let x = v fr in
-  if count then count_store fr sp;
   if o < 0 then out_of_bounds "store" a.name ts a.bad else Array.unsafe_set ts.data o x
 
 (* [t[i..] = t[i..] + e] with variable or constant indices, the
@@ -314,21 +278,18 @@ let[@inline] store ~count sp a v fr =
    one offset and one bounds check.  The walker evaluates the same pure
    indices twice, to the same offset, and checks the load's bounds
    first, so its failure is the one raised. *)
-let[@inline] accumulate ~count sp a e fr =
+let[@inline] accumulate a e fr =
   let ts = resolve fr a.k in
   let o = offset a fr ts in
-  if count then count_load fr sp;
   if o < 0 then out_of_bounds "load" a.name ts a.bad;
   let x = Array.unsafe_get ts.data o in
   let y = e fr in
-  if count then (count_flops fr 1; count_store fr sp);
   Array.unsafe_set ts.data o (x +. y)
 
 (* A float binop of two loads, with no float boxed between them. *)
-let[@inline] combine ~count op (sx, x) (sy, y) fr =
-  let p = load ~count sx x fr in
-  let q = load ~count sy y fr in
-  if count then count_flops fr 1;
+let[@inline] combine op x y fr =
+  let p = load x fr in
+  let q = load y fr in
   float_op op p q
 
 let index_fn = function Slot s -> fun fr -> Array.unsafe_get fr.ints s | Fn f -> f
@@ -346,11 +307,9 @@ let rec compile_expr b scope e =
       let name = v.Var.vname in
       I (fun _ -> fail "unbound variable %s" name))
   | Binop (op, Load (ta, ia), Load (tc, ic)) ->
-    let x = (space_index ta.space, access b scope ta ia) in
-    let y = (space_index tc.space, access b scope tc ic) in
-    F
-      (if b.count then fun fr -> combine ~count:true op x y fr
-       else fun fr -> combine ~count:false op x y fr)
+    let x = access b scope ta ia in
+    let y = access b scope tc ic in
+    F (fun fr -> combine op x y fr)
   | Binop (op, a, c) -> (
     let ca = compile_expr b scope a in
     let cc = compile_expr b scope c in
@@ -358,17 +317,14 @@ let rec compile_expr b scope e =
     | I x, I y -> I (int_binop op x y)
     | V _, _ | _, V _ ->
       let x = to_value ca and y = to_value cc in
-      let count = b.count in
       V
         (fun fr ->
           let va = x fr in
           let vb = y fr in
           match (va, vb) with
           | Vi p, Vi q -> Vi (int_op op p q)
-          | _ ->
-            if count then count_flops fr 1;
-            Vf (float_op op (as_float va) (as_float vb)))
-    | _ -> F (counted b 1 (float_binop op (to_float ca) (to_float cc))))
+          | _ -> Vf (float_op op (as_float va) (as_float vb)))
+    | _ -> F (float_binop op (to_float ca) (to_float cc)))
   | Cmp (op, a, c) -> (
     let ca = compile_expr b scope a in
     let cc = compile_expr b scope c in
@@ -409,9 +365,7 @@ let rec compile_expr b scope e =
   | Math (k, a) ->
     let g = Nonlinear.apply k in
     let x = to_float (compile_expr b scope a) in
-    let n = Nonlinear.flops k in
-    (* The walker counts before evaluating the argument. *)
-    if b.count then F (fun fr -> count_flops fr n; g (x fr)) else F (fun fr -> g (x fr))
+    F (fun fr -> g (x fr))
 
 and compile_index b scope e =
   match e with
@@ -472,10 +426,7 @@ and compile_uf b scope u args =
 (* A tensor access.  [off] evaluates every index, left to right, and
    returns the flat offset — or -1 when [Shape.flatten_index] would
    reject the indices, having left them in [bad] so the caller can
-   raise its message at the walker's point.  Loads and stores resolve
-   the tensor, evaluate the indices (and a store's value), count, and
-   only then fail: a failing access has counted, a failing index has
-   not. *)
+   raise its message at the walker's point. *)
 and access b scope (t : tensor) idx =
   let ixs = List.map (compile_index b scope) idx in
   let bad = Array.make (List.length ixs) 0 in
@@ -512,8 +463,8 @@ and access b scope (t : tensor) idx =
   { k = tensor_slot b t; name = t.tname; p; q; off; bad }
 
 and compile_load b scope t idx =
-  let a = access b scope t idx and sp = space_index t.space in
-  if b.count then fun fr -> load ~count:true sp a fr else fun fr -> load ~count:false sp a fr
+  let a = access b scope t idx in
+  fun fr -> load a fr
 
 let nop (_ : frame) = ()
 
@@ -547,14 +498,13 @@ let rec compile_stmt b scope s =
   | Store (t, idx, Binop (Add, Load (t', idx'), e))
     when t'.tid = t.tid && idx' = idx
          && List.for_all (function Var _ | Int _ -> true | _ -> false) idx ->
-    let a = access b scope t idx and sp = space_index t.space in
+    let a = access b scope t idx in
     let e = to_float (compile_expr b scope e) in
-    if b.count then fun fr -> accumulate ~count:true sp a e fr
-    else fun fr -> accumulate ~count:false sp a e fr
+    fun fr -> accumulate a e fr
   | Store (t, idx, value) ->
-    let a = access b scope t idx and sp = space_index t.space in
+    let a = access b scope t idx in
     let v = to_float (compile_expr b scope value) in
-    if b.count then fun fr -> store ~count:true sp a v fr else fun fr -> store ~count:false sp a v fr
+    fun fr -> store a v fr
   | If (c, a, d) -> (
     let c = to_int (compile_expr b scope c) in
     let a = compile_stmt b scope a in
@@ -589,27 +539,19 @@ let finish b ~kernels steps =
     ex_steps = steps;
   }
 
-(* Consecutive per-batch kernels execute batch-major — for each batch,
-   every kernel of the run is launched — matching how an unfused
-   framework interleaves operator launches with the dependence-carrying
-   batch sequence. *)
-let compile ?(count = false) (p : program) =
-  let b = builder count in
-  let rec steps acc = function
-    | [] -> List.rev acc
-    | { launch = Once; body; _ } :: rest -> steps (Once (compile_stmt b [] body) :: acc) rest
-    | ({ launch = PerInternalBatch _; _ } :: _) as kernels ->
-      let rec take group = function
-        | { launch = PerInternalBatch bvar; body; _ } :: tl ->
-          let slot = new_int b in
-          take ((slot, compile_stmt b [ (bvar.Var.vid, BI slot) ] body) :: group) tl
-        | tl -> (Array.of_list (List.rev group), tl)
-      in
-      let group, rest = take [] kernels in
-      steps (Batched group :: acc) rest
+(* Steps follow [Ir.launch_groups]: a batch-major run binds each
+   kernel's batch variable to a slot of its own. *)
+let compile (p : program) =
+  let b = builder () in
+  let per_batch (bvar, body) =
+    let slot = new_int b in
+    (slot, compile_stmt b [ (bvar.Var.vid, BI slot) ] body)
   in
-  let steps = Array.of_list (steps [] p.kernels) in
-  finish b ~kernels:p.kernels steps
+  let step = function
+    | Single body -> Once (compile_stmt b [] body)
+    | Batch_major run -> Batched (Array.of_list (List.map per_batch run))
+  in
+  finish b ~kernels:p.kernels (Array.of_list (List.map step (launch_groups p.kernels)))
 
 let compiled_for ex (p : program) = ex.ex_kernels == p.kernels
 
@@ -628,7 +570,6 @@ let frame ex (ctx : context) =
       Array.map
         (fun (u : Uf.t) -> Option.value (Hashtbl.find_opt ctx.ufs u.Uf.uid) ~default:unbound_uf)
         ex.ex_ufs;
-    ctrs = ctx.ctrs;
     ctx;
     tensors = ex.ex_tensors;
     extents = ex.ex_extents;
@@ -649,48 +590,15 @@ let exec ex (ctx : context) =
         done)
     ex.ex_steps
 
-let run_program ?count ctx p = exec (compile ?count p) ctx
+let run_program ctx p = exec (compile p) ctx
 
-(* ---------- one-off evaluation ---------- *)
-
-(* Compile one expression or statement under the bindings of [env] (the
-   first binding of a vid wins, as with an association list) and run
-   it once, without counting. *)
-let one_off (ctx : context) env compile_with =
-  let b = builder false in
-  let scope, inits =
-    List.split
-      (List.map
-         (fun (vid, v) ->
-           match v with
-           | Vi n ->
-             let s = new_int b in
-             ((vid, BI s), fun fr -> fr.ints.(s) <- n)
-           | Vf x ->
-             let s = new_flt b in
-             ((vid, BF s), fun fr -> fr.flts.(s) <- x))
-         env)
-  in
-  let run = compile_with b scope in
-  let fr = frame (finish b ~kernels:[] [||]) ctx in
-  List.iter (fun init -> init fr) inits;
-  run fr
-
-let eval_expr ctx env e =
-  one_off ctx env (fun b scope ->
-      match compile_expr b scope e with
-      | I f -> fun fr -> Vi (f fr)
-      | F f -> fun fr -> Vf (f fr)
-      | V f -> f)
-
-let run_stmt ctx env s = one_off ctx env (fun b scope -> compile_stmt b scope s)
-
+(* A tensor's first use outside a run: compile its extents alone and
+   allocate it as a run would. *)
 let get_tensor (ctx : context) (t : tensor) =
   match Hashtbl.find_opt ctx.storage t.tid with
   | Some s -> s
   | None ->
-    one_off ctx [] (fun b _ ->
-        let k = tensor_slot b t in
-        fun fr ->
-          allocate fr k;
-          Hashtbl.find ctx.storage t.tid)
+    let b = builder () in
+    let k = tensor_slot b t in
+    allocate (frame (finish b ~kernels:[] [||]) ctx) k;
+    Hashtbl.find ctx.storage t.tid

@@ -119,6 +119,26 @@ type launch = Once | PerInternalBatch of Var.t
 
 type kernel = { kname : string; launch : launch; body : stmt }
 
+type launch_group = Single of stmt | Batch_major of (Var.t * stmt) list
+
+(* A maximal run of consecutive per-batch kernels launches batch-major —
+   for each batch, every kernel of the run — the way an unfused
+   framework interleaves operator launches with the dependence-carrying
+   batch sequence. *)
+let launch_groups kernels =
+  let rec go acc = function
+    | [] -> List.rev acc
+    | { launch = Once; body; _ } :: rest -> go (Single body :: acc) rest
+    | { launch = PerInternalBatch _; _ } :: _ as ks ->
+      let rec take run = function
+        | { launch = PerInternalBatch b; body; _ } :: tl -> take ((b, body) :: run) tl
+        | tl -> (List.rev run, tl)
+      in
+      let run, rest = take [] ks in
+      go (Batch_major run :: acc) rest
+  in
+  go [] kernels
+
 type program = {
   pname : string;
   params : tensor list;

@@ -94,6 +94,17 @@ type launch = Once | PerInternalBatch of Var.t
 
 type kernel = { kname : string; launch : launch; body : stmt }
 
+(** The launch order of a kernel list: a [Once] kernel is a [Single]
+    launch, and a maximal run of consecutive [PerInternalBatch] kernels
+    is one [Batch_major] group (each kernel's batch variable and body,
+    in order): for each batch in order, every kernel of the run is
+    launched with its batch variable bound. *)
+type launch_group = Single of stmt | Batch_major of (Var.t * stmt) list
+
+val launch_groups : kernel list -> launch_group list
+(** The one owner of launch order: the executor, the memory planner's
+    liveness and the race checker all follow it. *)
+
 type program = {
   pname : string;
   params : tensor list;

@@ -451,7 +451,6 @@ type session = {
 
 type t = {
   model : Ra.t;
-  eng_backend : Backend.t;
   eng_policy : policy;
   lock_free : bool;
   eng_compiled : Lower.compiled;
@@ -519,7 +518,6 @@ let build ~(config : Config.t) ~model ~backend ~compiled =
   let compiled = compiled () in
   {
     model;
-    eng_backend = backend;
     eng_policy = policy;
     lock_free = config.Config.compile.Config.lock_free;
     eng_compiled = compiled;
@@ -629,18 +627,9 @@ let of_bundle ?config ?expect_model (b : Bundle.t) ~backend =
   end
 
 let compiled t = t.eng_compiled
-let backend t = t.eng_backend
-let policy t = t.eng_policy
-let dispatch_policy t = t.eng_dispatch
 let devices t = t.eng_devices
-let num_devices t = List.length t.eng_devices
 let cache_stats t = Shape_cache.stats t.eng_cache
 let pending t = t.queued
-let fault_spec t = t.eng_faults
-let seed t = t.eng_seed
-let obs t = t.eng_obs
-let autotune t = t.eng_plans <> None
-let plan_cache_stats t = Option.map Plan_cache.stats t.eng_plans
 let config t = t.eng_config
 
 (* ---------- validation ---------- *)
@@ -1484,7 +1473,8 @@ type token = {
   tk_p : pending;
   tk_sx : session;
   tk_serve : session_serve;
-  tk_charge : float;  (* the inspector charge ([inspect]) *)
+  tk_charge : float;  (* the inspector charge ([chaos]) *)
+  tk_host_us : float;  (* the measured host wall clock of that work *)
   tk_restore_us : float;  (* priced spill restore; 0 for a live session *)
 }
 
@@ -1499,6 +1489,7 @@ type window = {
   w_lin : Linearizer.t;  (* the launch sequence priced and executed *)
   w_nodes : int;  (* the window's work *)
   w_lin_us : float;  (* inspector charge for the whole window *)
+  w_host_us : float;  (* measured host wall clock of its inspector work *)
   w_id : int -> int -> int;
       (* member index -> member-local node id -> window id.  A token
          served as a delta is numbered by session id, anything else by
@@ -1517,16 +1508,16 @@ let note_damage t d at =
    | Some _ -> ());
   if at < d.d_first_damage then d.d_first_damage <- at
 
-(* Run inspector work under the host timer and return it with its
-   charge on the simulated clock.  Chaos mode: with a fault spec
-   installed (even an empty one), the charge is zero instead of the
-   measured host wall clock, so every fault decision — and therefore
-   the whole summary — is a pure function of (seed, spec, trace).  The
-   measured wall clock would leak nondeterminism into dispatch times and
-   flip marginal fault draws between identical runs. *)
-let inspect t f =
-  let r, wall = Stats.time_us f in
-  (r, if t.eng_faults <> None then 0.0 else wall)
+(* Inspector work runs under the host timer; the measured time is
+   reported as the window's [host_linearize_us], a host number only.
+   Its charge on the simulated clock: in chaos mode (a fault spec
+   installed, even an empty one) zero, so every fault decision — and
+   therefore the whole summary — is a pure function of (seed, spec,
+   trace); otherwise, for a plain window, the deterministic inspector
+   model [Runtime.simulate] charges ([Runtime.linearize_charge_us] of
+   its forest, cache hit or miss), and for a session token still the
+   measured wall clock. *)
+let chaos t = t.eng_faults <> None
 
 let device_track i = Printf.sprintf "device %d" i
 
@@ -2014,8 +2005,8 @@ let serve_token t p =
      append, view construction, geometric materialization, or the cold
      fallback through the cache — under one timer: that is the per-token
      cost BENCH_incremental compares against a cold re-linearization. *)
-  let serve, charge =
-    inspect t (fun () ->
+  let serve, host_us =
+    Stats.time_us (fun () ->
         let compat = Lower.delta_compatible t.eng_compiled.Lower.options in
         let dv = if compat then session_delta_view sx s else None in
         match dv with
@@ -2060,7 +2051,14 @@ let serve_token t p =
           S_cold (fl, hit))
   in
   sx.sx_windows <- sx.sx_windows + 1;
-  { tk_p = p; tk_sx = sx; tk_serve = serve; tk_charge = charge; tk_restore_us = restore_us }
+  {
+    tk_p = p;
+    tk_sx = sx;
+    tk_serve = serve;
+    tk_charge = (if chaos t then 0.0 else host_us);
+    tk_host_us = host_us;
+    tk_restore_us = restore_us;
+  }
 
 (* Bounded-table bookkeeping for a token just played: learn the model's
    per-node state-row bytes from the rows actually stored (hidden sizes
@@ -2094,8 +2092,8 @@ let span_id (fl : Linearizer.forest) k id = fl.Linearizer.spans.(k).Linearizer.s
    result, timing that one run: a cache hit is a payload re-bind, a miss
    the full inspector pass. *)
 let plain_window t members =
-  let (fl, hit), lin_us =
-    inspect t (fun () ->
+  let (fl, hit), host_us =
+    Stats.time_us (fun () ->
         Shape_cache.find_or_linearize ?obs:t.eng_obs t.eng_cache
           ~max_children:t.model.Ra.max_children
           (List.map (fun p -> p.p_structure) members))
@@ -2105,7 +2103,8 @@ let plain_window t members =
     w_members = List.map (fun p -> Plain p) members;
     w_lin = lin;
     w_nodes = lin.Linearizer.num_nodes;
-    w_lin_us = lin_us;
+    w_lin_us = (if chaos t then 0.0 else Runtime.linearize_charge_us lin);
+    w_host_us = host_us;
     w_id = span_id fl;
     (* With autotune on, the window runs the plan tuned for this
        device's (backend, size-class); the first window of a class pays
@@ -2139,6 +2138,7 @@ let token_window tk =
     w_lin = lin;
     w_nodes = nodes;
     w_lin_us = token_lin_us tk;
+    w_host_us = tk.tk_host_us;
     w_id;
     w_tune = None;
     w_hit = hit;
@@ -2163,6 +2163,7 @@ let pack_window pk toks =
       List.fold_left
         (fun acc tk -> acc +. tk.tk_charge +. tk.tk_restore_us)
         0.0 toks;
+    w_host_us = List.fold_left (fun acc tk -> acc +. tk.tk_host_us) 0.0 toks;
     w_id = (fun mi sid -> Linearizer.pack_id pk ~member:mi sid);
     w_tune = Some true;
     w_hit = false;
@@ -2262,9 +2263,11 @@ let play_window t d ~ready w =
         (entry.Plan_cache.pe_compiled, entry.Plan_cache.pe_staged, entry.Plan_cache.pe_exec)
       | _ -> (t.eng_compiled, t.eng_staged, t.eng_exec)
     in
-    ( (compiled, exec),
+    let r =
       Runtime.simulate_lin ~lock_free:t.lock_free ~linearize_us:w.w_lin_us
-        ~staged:(Lazy.force staged) compiled ~backend w.w_lin )
+        ~staged:(Lazy.force staged) compiled ~backend w.w_lin
+    in
+    ((compiled, exec), { r with Runtime.host_linearize_us = w.w_host_us })
   in
   (match play t d ~sxs ~size ~nodes:w.w_nodes ~lin_us:w.w_lin_us ~price ready with
    | Lost_window at ->
@@ -2380,7 +2383,7 @@ let account t d =
   let slo =
     {
       slo_seed = t.eng_seed;
-      slo_chaos = t.eng_faults <> None;
+      slo_chaos = chaos t;
       slo_degraded = d.d_degraded;
       slo_completed = aggregate.num_requests;
       slo_lost = d.d_lost;
@@ -2522,17 +2525,6 @@ let run_trace t trace =
       | Stdlib.Error err -> raise (Error err))
     trace;
   drain t
-
-let run_one t structure =
-  validate_exn t structure;
-  let mc = t.model.Ra.max_children in
-  (* One timed run, reused — not a timing loop whose results are thrown
-     away followed by an untimed live run. *)
-  let lin, linearize_us =
-    Stats.time_us (fun () -> Linearizer.run ~max_children:mc structure)
-  in
-  Runtime.simulate_lin ~lock_free:t.lock_free ~linearize_us
-    ~staged:(Lazy.force t.eng_staged) t.eng_compiled ~backend:t.eng_backend lin
 
 (* ---------- numeric execution ---------- *)
 

@@ -21,8 +21,10 @@
     - {b serving simulation}: {!submit} requests with arrival times (or
       {!run_trace} a whole {!Trace.t}), then {!drain}; windows form
       according to the {!policy}, each window's forest is linearized for
-      real (measured wall clock, through a shape-keyed cache — repeated
-      shapes skip the inspector and are payload-rebound instead), a
+      real (through a shape-keyed cache — repeated shapes skip the
+      inspector and are payload-rebound instead) and charged the
+      deterministic inspector model
+      {!Cortex_runtime.Runtime.linearize_charge_us}, a
       {!Dispatch.policy} spreads the windows across the engine's
       simulated devices (possibly heterogeneous), and you get
       per-request reports plus throughput/p50/p99 aggregates,
@@ -47,9 +49,9 @@
 
     Installing a fault spec — even an empty one — puts the drain in
     {e chaos mode}: the simulated clock charges zero linearization cost
-    instead of the measured host wall clock, making the whole summary a
-    pure function of (seed, spec, trace) so runs can be diffed
-    byte-for-byte in CI. *)
+    (outside it, session tokens still charge their measured host wall
+    clock), making the whole summary a pure function of (seed, spec,
+    trace) so runs can be diffed byte-for-byte in CI. *)
 
 module Linearizer = Cortex_linearizer.Linearizer
 module Runtime = Cortex_runtime.Runtime
@@ -239,8 +241,7 @@ val create :
 (** Compile [model] once (per [config.compile.options], default
     {!Cortex_lower.Lower.default}) and stand up an empty queue
     configured by [config] (default {!Config.default}).  [backend] is
-    the single-request pricing device for {!run_one} and the default
-    fleet when [config.dispatch.devices] is unset.  Raises
+    the fleet when [config.dispatch.devices] is unset.  Raises
     [Invalid_argument] on malformed config values (non-positive
     [max_batch], negative caps, empty device list, a fault spec that
     does not fit the fleet). *)
@@ -280,27 +281,16 @@ val of_bundle :
     and the bundle's embedded config text does not parse. *)
 
 val compiled : t -> Cortex_lower.Lower.compiled
-val backend : t -> Cortex_backend.Backend.t
-val policy : t -> policy
-val dispatch_policy : t -> Dispatch.policy
+(** The compiled artifact; price a single structure on it with
+    [Runtime.simulate]. *)
+
 val devices : t -> Cortex_backend.Backend.t list
-val num_devices : t -> int
 val cache_stats : t -> Shape_cache.stats
 (** Cumulative shape-cache counters (both the drain and the numeric
     {!execute} path go through the cache). *)
 
 val pending : t -> int
 (** Requests queued and not yet drained. *)
-
-val fault_spec : t -> Fault.spec option
-val seed : t -> int
-
-val obs : t -> Cortex_obs.Obs.t option
-(** The observability handle installed at {!create}, if any. *)
-
-val autotune : t -> bool
-val plan_cache_stats : t -> Plan_cache.stats option
-(** Cumulative plan-cache counters when [autotune] is on. *)
 
 val config : t -> Config.t
 (** The configuration the engine was created with. *)
@@ -352,9 +342,11 @@ type request_report = {
   rr_deadline_us : float;  (** absolute; [infinity] when none was set *)
   rr_queue_us : float;  (** arrival -> window dispatch *)
   rr_linearize_us : float;
-      (** the window's measured linearization wall clock (a cache hit's
-          payload re-bind, or a miss's full inspector pass; 0 in chaos
-          mode) *)
+      (** the window's inspector charge on the simulated clock: the
+          model {!Cortex_runtime.Runtime.linearize_charge_us} of a plain
+          window's forest, a session token's measured wall clock plus
+          any restore cost, 0 in chaos mode.  The measured host time is
+          the window report's [host_linearize_us]. *)
   rr_device_us : float;  (** simulated device latency of the window *)
   rr_total_us : float;  (** arrival -> completion *)
   rr_on_time : bool;  (** completed at or before its deadline *)
@@ -592,12 +584,6 @@ val evict_session : t -> string -> bool
 (** Evict one live session immediately (spilling its restorable
     state), regardless of budget and TTL — operational lever and test
     hook.  [false] when the name is not live. *)
-
-val run_one : t -> Cortex_ds.Structure.t -> Runtime.report
-(** Single-request convenience: validate, linearize (timed) and price
-    one structure on the engine's backend — what
-    [Runtime.compile] + [Runtime.simulate] used to spell per call
-    site, minus the recompilation. *)
 
 (** {2 Numeric execution} *)
 

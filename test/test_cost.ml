@@ -1,53 +1,45 @@
-(* Cross-validation of the static cost walker against the interpreter's
-   runtime counters: on the same compiled program and input, the
-   multiplicative static walk must produce exactly the FLOP, load and
-   store counts that actually executing the kernels produces. *)
+(* Cross-validation of the static cost walker against dynamic counts:
+   on the same compiled program and input, the multiplicative static
+   walk must produce exactly the FLOP, load and store counts that
+   executing the kernels produces.  The dynamic counts are the frozen
+   tree walker's ([Exec_diff.reference]). *)
 
 open Cortex
 module M = Models.Common
+module R = Interp_reference
 
-let counts_agree ?(options = Lower.default) (spec : M.t) ~batch =
+(* The walker's counts and the static cost of one run of [spec]. *)
+let run ~options (spec : M.t) ~seed ~batch =
   let compiled = Runtime.compile ~options:(Runtime.options_for ~base:options spec) spec.M.program in
-  let structure = spec.M.dataset (Rng.create 31) ~batch in
-  let lin = Linearizer.run structure in
-  (* Dynamic execution with counters on. *)
-  let bound = Lower.bind compiled lin in
-  let params = spec.M.init_params (Rng.create 32) in
-  List.iter
-    (fun (name, t) -> Interp.bind_tensor bound.Lower.ctx t (params name))
-    compiled.Lower.param_tensors;
-  Interp.run_program ~count:true bound.Lower.ctx compiled.Lower.prog;
-  let dynamic = Interp.counters bound.Lower.ctx in
-  (* Static walk. *)
+  let lin = Linearizer.run (spec.M.dataset (Rng.create seed) ~batch) in
+  let params = spec.M.init_params (Rng.create (seed + 1)) in
+  let (failure, _), dynamic = Exec_diff.reference compiled lin ~params in
+  Alcotest.(check (option string)) (spec.M.name ^ " runs") None failure;
+  let r = Lower.resolve compiled lin in
   let cost =
-    Cost.analyze ~uf:bound.Lower.uf_resolver
-      ~num_internal_batches:bound.Lower.num_batch_launches compiled.Lower.prog
+    Cost.analyze ~uf:r.Lower.res_uf ~num_internal_batches:r.Lower.res_num_batch_launches
+      compiled.Lower.prog
   in
-  let static_flops = Cost.total_flops cost in
-  let static_loads =
-    List.fold_left
-      (fun acc (k : Cost.kernel_cost) ->
-        List.fold_left
-          (fun acc (s : Cost.segment) -> acc +. Array.fold_left ( +. ) 0.0 s.Cost.reads)
-          acc k.Cost.segments)
-      0.0 cost.Cost.kernels
-    /. float_of_int Cost.bytes_per_elem
-  in
-  let static_stores =
-    List.fold_left
-      (fun acc (k : Cost.kernel_cost) ->
-        List.fold_left
-          (fun acc (s : Cost.segment) -> acc +. Array.fold_left ( +. ) 0.0 s.Cost.writes)
-          acc k.Cost.segments)
-      0.0 cost.Cost.kernels
-    /. float_of_int Cost.bytes_per_elem
-  in
+  (dynamic, cost)
+
+(* Elements moved: a per-segment byte count summed over the program. *)
+let static_elems (cost : Cost.t) field =
+  List.fold_left
+    (fun acc (k : Cost.kernel_cost) ->
+      List.fold_left (fun acc s -> acc +. field s) acc k.Cost.segments)
+    0.0 cost.Cost.kernels
+  /. float_of_int Cost.bytes_per_elem
+
+let counts_agree ~options (spec : M.t) ~batch =
+  let dynamic, cost = run ~options spec ~seed:31 ~batch in
+  let all bytes = Array.fold_left ( +. ) 0.0 bytes in
   Alcotest.(check int)
     (spec.M.name ^ " flops")
-    dynamic.Interp.flops (int_of_float static_flops);
-  Alcotest.(check int) (spec.M.name ^ " loads") dynamic.Interp.loads (int_of_float static_loads);
-  Alcotest.(check int) (spec.M.name ^ " stores") dynamic.Interp.stores
-    (int_of_float static_stores)
+    dynamic.R.flops (int_of_float (Cost.total_flops cost));
+  Alcotest.(check int) (spec.M.name ^ " loads") dynamic.R.loads
+    (int_of_float (static_elems cost (fun s -> all s.Cost.reads)));
+  Alcotest.(check int) (spec.M.name ^ " stores") dynamic.R.stores
+    (int_of_float (static_elems cost (fun s -> all s.Cost.writes)))
 
 let small_specs =
   [
@@ -67,40 +59,23 @@ let variants =
     ("nobatch", { Lower.default with Lower.dynamic_batch = false });
   ]
 
-let test_one (mname, spec) (vname, options) () = ignore vname; ignore mname;
-  counts_agree ~options spec ~batch:2
+let test_one (_, spec) (_, options) () = counts_agree ~options spec ~batch:2
 
 let test_per_space_counts () =
-  (* On-chip vs off-chip split agrees too. *)
+  (* On-chip vs off-chip split agrees too, for loads and for stores. *)
   let spec = Models.Tree_lstm.spec ~vocab:30 ~hidden:6 () in
-  let compiled = Runtime.compile ~options:(Runtime.options_for spec) spec.M.program in
-  let structure = spec.M.dataset (Rng.create 77) ~batch:2 in
-  let lin = Linearizer.run structure in
-  let bound = Lower.bind compiled lin in
-  let params = spec.M.init_params (Rng.create 78) in
-  List.iter
-    (fun (name, t) -> Interp.bind_tensor bound.Lower.ctx t (params name))
-    compiled.Lower.param_tensors;
-  Interp.run_program ~count:true bound.Lower.ctx compiled.Lower.prog;
-  let dynamic = Interp.counters bound.Lower.ctx in
-  let cost =
-    Cost.analyze ~uf:bound.Lower.uf_resolver
-      ~num_internal_batches:bound.Lower.num_batch_launches compiled.Lower.prog
-  in
-  let static_space si =
-    List.fold_left
-      (fun acc (k : Cost.kernel_cost) ->
-        List.fold_left (fun acc (s : Cost.segment) -> acc +. s.Cost.reads.(si)) acc k.Cost.segments)
-      0.0 cost.Cost.kernels
-    /. float_of_int Cost.bytes_per_elem
-  in
+  let dynamic, cost = run ~options:Lower.default spec ~seed:77 ~batch:2 in
   List.iter
     (fun space ->
       let si = Interp.space_index space in
       Alcotest.(check int)
         (Ir.space_name space ^ " loads")
-        dynamic.Interp.loads_by_space.(si)
-        (int_of_float (static_space si)))
+        dynamic.R.loads_by_space.(si)
+        (int_of_float (static_elems cost (fun s -> s.Cost.reads.(si))));
+      Alcotest.(check int)
+        (Ir.space_name space ^ " stores")
+        dynamic.R.stores_by_space.(si)
+        (int_of_float (static_elems cost (fun s -> s.Cost.writes.(si)))))
     [ Ir.Param; Ir.Global; Ir.Shared; Ir.Register ]
 
 let () =

@@ -1,8 +1,7 @@
 (* Differential test of the closure-compiled executor: [Interp.exec]
    must produce what the frozen tree walker ([Interp_reference])
-   produces — every state tensor bit for bit and the same load, store
-   and FLOP counts, or the same exception with the same message —
-   across the model catalog x the options lattice x loop plans x random
+   produces — every state tensor bit for bit, or the same exception
+   with the same message — across the model catalog x the options lattice x loop plans x random
    inputs, and on hand-built programs the lowered models never
    produce. *)
 
@@ -107,41 +106,32 @@ let run_corner ?(launch = Once) ?(batches = 0) body =
   let f a = if a.(0) = 7 then 0 else a.(0) + 1 in
   let tensors = [ v4; m23; out; lazy_t ] in
   let reference =
-    let ctx = R.create ~count:true ~num_internal_batches:batches () in
+    let ctx = R.create ~num_internal_batches:batches () in
     R.bind_uf0 ctx n_uf 3;
     R.bind_uf ctx f_uf f;
     let vd, md = data () in
     R.bind_tensor ctx v4 vd;
     R.bind_tensor ctx m23 md;
     let failure = Exec_diff.outcome (fun () -> R.run_program ctx prog) in
-    ( failure,
-      List.map (fun t -> Exec_diff.bits (R.get_tensor ctx t)) tensors,
-      Exec_diff.of_reference (R.counters ctx) )
+    (failure, List.map (fun t -> Exec_diff.bits (R.get_tensor ctx t)) tensors)
   in
-  let executor count =
+  let executor =
     let ctx = Interp.create ~num_internal_batches:batches () in
-    Interp.bind_uf0 ctx n_uf 3;
+    Interp.bind_uf ctx n_uf (fun _ -> 3);
     Interp.bind_uf ctx f_uf f;
     let vd, md = data () in
     Interp.bind_tensor ctx v4 vd;
     Interp.bind_tensor ctx m23 md;
-    let failure = Exec_diff.outcome (fun () -> Interp.run_program ~count ctx prog) in
-    ( failure,
-      List.map (fun t -> Exec_diff.bits (Interp.get_tensor ctx t)) tensors,
-      Exec_diff.of_interp (Interp.counters ctx) )
+    let failure = Exec_diff.outcome (fun () -> Interp.run_program ctx prog) in
+    (failure, List.map (fun t -> Exec_diff.bits (Interp.get_tensor ctx t)) tensors)
   in
-  (reference, executor true, executor false)
+  (reference, executor)
 
 let corner name ?launch ?batches ?expect body =
   Alcotest.test_case name `Quick (fun () ->
-      let ((failure, tensors, _) as want), counted, (plain_failure, plain_tensors, _) =
-        run_corner ?launch ?batches body
-      in
-      Alcotest.(check string) "counting executor" (Exec_diff.describe want)
-        (Exec_diff.describe counted);
-      Alcotest.(check bool) "counting executor: same tensors and counters" true (counted = want);
-      Alcotest.(check (option string)) "plain executor: same outcome" failure plain_failure;
-      Alcotest.(check bool) "plain executor: same tensors" true (plain_tensors = tensors);
+      let (failure, tensors), (got_failure, got_tensors) = run_corner ?launch ?batches body in
+      Alcotest.(check (option string)) "same outcome" failure got_failure;
+      Alcotest.(check bool) "same tensors" true (got_tensors = tensors);
       match expect with
       | None -> ()
       | Some msg ->
@@ -254,8 +244,8 @@ let corners =
               store_out (Var i) (Flt 1.0),
               None )));
     (* [t[i..] = t[i..] + e] shares one offset between its load and
-       store: the load's failure is raised, after the load has counted;
-       an addend's failure leaves the cell unwritten. *)
+       store: the load's failure is raised; an addend's failure leaves
+       the cell unwritten. *)
     corner "accumulate out of bounds" ~expect:(oob "load" "m" 3 3 1)
       (for_ i (Int 2)
          (for_ j (Int 4)

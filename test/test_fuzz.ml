@@ -218,7 +218,7 @@ let check_seed seed =
       List.iter
         (fun (name, t) -> Interp.bind_tensor bound.Lower.ctx t (params name))
         compiled.Lower.param_tensors;
-      Interp.run_program ~count:true bound.Lower.ctx compiled.Lower.prog;
+      Interp.run_program bound.Lower.ctx compiled.Lower.prog;
       let values_agree =
         Array.for_all
           (fun node ->
@@ -230,9 +230,10 @@ let check_seed seed =
               program.Ra.states)
           structure.Structure.nodes
       in
-      (* The static cost walker must reproduce the interpreter's exact
-         dynamic FLOP / load / store counts. *)
-      let dynamic = Interp.counters bound.Lower.ctx in
+      (* The static cost walker must reproduce the exact dynamic FLOP /
+         load / store counts of a run, as the reference walker counts
+         them. *)
+      let (failure, _), dynamic = Exec_diff.reference compiled lin ~params in
       let cost =
         Cortex_ilir.Cost.analyze ~uf:bound.Lower.uf_resolver
           ~num_internal_batches:bound.Lower.num_batch_launches compiled.Lower.prog
@@ -245,11 +246,12 @@ let check_seed seed =
       in
       let sum_spaces a = Array.fold_left ( +. ) 0.0 a /. 4.0 in
       let counts_agree =
-        int_of_float (total (fun s -> s.Cortex_ilir.Cost.flops)) = dynamic.Interp.flops
+        failure = None
+        && int_of_float (total (fun s -> s.Cortex_ilir.Cost.flops)) = dynamic.Interp_reference.flops
         && int_of_float (total (fun s -> sum_spaces s.Cortex_ilir.Cost.reads))
-           = dynamic.Interp.loads
+           = dynamic.Interp_reference.loads
         && int_of_float (total (fun s -> sum_spaces s.Cortex_ilir.Cost.writes))
-           = dynamic.Interp.stores
+           = dynamic.Interp_reference.stores
       in
       values_agree && counts_agree)
     (schedules program)
@@ -291,8 +293,7 @@ let staged_cost_test =
     check_staged_cost
 
 (* The closure-compiled executor against the frozen tree walker: every
-   state tensor bit for bit and the same counts, or the same exception,
-   on every schedule. *)
+   state tensor bit for bit, or the same exception, on every schedule. *)
 let check_executor seed =
   let program = random_program seed in
   let rng = Rng.create (seed + 7919) in

@@ -36,10 +36,10 @@ let int_expr_gen =
   |> QCheck.Gen.map (fun (e, (vx, vy)) -> (e, x, y, vx, vy))
 
 let eval_int_expr e bindings =
-  let ctx = Interp.create ~num_internal_batches:0 () in
-  match Interp.eval_expr ctx bindings e with
-  | Interp.Vi n -> n
-  | Interp.Vf _ -> Alcotest.fail "expected int"
+  let ctx = Interp_reference.create ~num_internal_batches:0 () in
+  match Interp_reference.eval_expr ctx bindings e with
+  | Interp_reference.Vi n -> n
+  | Interp_reference.Vf _ -> Alcotest.fail "expected int"
 
 let test_simplify_preserves_value =
   QCheck.Test.make ~name:"Simplify.expr preserves value" ~count:1000
@@ -47,7 +47,9 @@ let test_simplify_preserves_value =
          Printf.sprintf "%s with x=%d y=%d" (Ir.expr_to_string e) vx vy)
        int_expr_gen)
     (fun (e, x, y, vx, vy) ->
-      let bindings = [ (x.Ir.Var.vid, Interp.Vi vx); (y.Ir.Var.vid, Interp.Vi vy) ] in
+      let bindings =
+        [ (x.Ir.Var.vid, Interp_reference.Vi vx); (y.Ir.Var.vid, Interp_reference.Vi vy) ]
+      in
       eval_int_expr e bindings = eval_int_expr (Simplify.expr e) bindings)
 
 let test_simplify_identities () =
@@ -133,9 +135,9 @@ let make_prog () =
   (t, body, Ir.Var.name i, Ir.Var.name j)
 
 let run_body t body =
-  let ctx = Interp.create ~num_internal_batches:0 () in
-  Interp.run_stmt ctx [] body;
-  Interp.get_tensor ctx t
+  let ctx = Interp_reference.create ~num_internal_batches:0 () in
+  Interp_reference.run_stmt ctx [] body;
+  Interp_reference.get_tensor ctx t
 
 let check_transform name transform =
   let t, body, iname, jname = make_prog () in
@@ -301,9 +303,9 @@ let test_schedule_fuse () =
       Ir.Var.name b )
   in
   let run body =
-    let ctx = Interp.create ~num_internal_batches:0 () in
-    Interp.run_stmt ctx [] body;
-    (Interp.get_tensor ctx t1, Interp.get_tensor ctx t2)
+    let ctx = Interp_reference.create ~num_internal_batches:0 () in
+    Interp_reference.run_stmt ctx [] body;
+    (Interp_reference.get_tensor ctx t1, Interp_reference.get_tensor ctx t2)
   in
   let body, _, _ = mk () in
   let w1, w2 = run body in

@@ -326,9 +326,11 @@ let test_corrupted_profiles_rejected () =
    reports, SLO block, windows, device accounting and numeric results,
    bitwise — as the same drain without it.
 
-   One normalization is required and it is not about observability:
-   each [Engine.of_spec] compiles afresh, and IR tensor ids come from a
-   process-global counter, so the raw [Cost.t] inside each window report
+   The two metrics snapshots ([metrics], and [metrics_at_damage] once
+   anything is damaged) exist only with the handle, so they are left
+   out.  One more normalization is required and it is not about
+   observability: each [Engine.of_spec] compiles afresh, and IR tensor
+   ids come from a process-global counter, so the raw [Cost.t] inside each window report
    (its [param_sizes] are keyed by tensor id) differs between ANY two
    engines in one process, observed or not.  We therefore compare the
    cost through its id-independent derived quantities and everything
@@ -364,7 +366,7 @@ let canon_summary (s : Engine.summary) =
           canon_report w.Engine.wr_report ))
       s.Engine.windows
   in
-  ({ s with Engine.windows = []; metrics = None }, windows)
+  ({ s with Engine.windows = []; metrics = None; metrics_at_damage = None }, windows)
 
 let test_zero_interference =
   QCheck.Test.make ~name:"obs-on equals obs-off bitwise" ~count:10
